@@ -22,12 +22,13 @@
  *     "cache_hits": H, "cache_misses": M, "dedup_hits": D }
  *
  * `--smoke` runs a reduced schedule as a ctest smoke target; `--only
- * a,b,c` selects experiments by name.
+ * a,b,c` selects experiments by name. `--shard I/N` keeps every Nth
+ * experiment starting at the Ith: N processes started with the same
+ * `--cache DIR` split the matrix between them, and the directory's
+ * tmp-file + rename writes keep it consistent under that sharing.
  */
 
-#include <unistd.h>
-
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -37,7 +38,6 @@
 #include "common/log.hh"
 #include "harness/bench_cli.hh"
 #include "harness/bench_registry.hh"
-#include "serve/client.hh"
 
 using namespace wisc;
 
@@ -86,7 +86,7 @@ usage(int code)
     std::cout <<
         "usage: run_matrix [--smoke] [--only NAME[,NAME...]] [--list]\n"
         "                  [--json PATH] [--cache DIR | --no-cache]\n"
-        "                  [--serve ADDR] [--shard I/N]\n"
+        "                  [--shard I/N]\n"
         "\n"
         "Runs the full figure/table/ablation matrix in one process with\n"
         "a shared simulation-result cache, so identical runs across\n"
@@ -99,14 +99,9 @@ usage(int code)
         "  --cache DIR   persistent run cache (WISC_CACHE_DIR fallback);\n"
         "                a second run replays the matrix from disk\n"
         "  --no-cache    ignore WISC_CACHE_DIR / compiled-in default\n"
-        "  --serve ADDR  client mode: execute every simulation on the\n"
-        "                wisc-serve daemon at unix socket ADDR; `auto`\n"
-        "                spawns a private daemon and tears it down at\n"
-        "                exit. Identical requests from concurrent\n"
-        "                clients coalesce daemon-side.\n"
         "  --shard I/N   run only every Nth experiment starting at the\n"
-        "                Ith (1-based); combine with --serve to split\n"
-        "                the matrix across client processes\n";
+        "                Ith (1-based); N processes given the same\n"
+        "                --cache DIR split the matrix between them\n";
     return code;
 }
 
@@ -122,6 +117,28 @@ splitCsv(const std::string &s)
     return out;
 }
 
+/** Strict unsigned decimal: digits only (from_chars takes no sign or
+ *  space for an unsigned type), no overflow, nothing after. */
+bool
+parseCount(const char *first, const char *last, unsigned &out)
+{
+    auto [end, ec] = std::from_chars(first, last, out);
+    return ec == std::errc() && end == last;
+}
+
+/** Parse "I/N" with 1 <= I <= N; anything else is rejected whole. */
+bool
+parseShard(const std::string &s, unsigned &index, unsigned &count)
+{
+    const std::size_t slash = s.find('/');
+    if (slash == std::string::npos)
+        return false;
+    const char *p = s.data();
+    return parseCount(p, p + slash, index) &&
+           parseCount(p + slash + 1, p + s.size(), count) && index >= 1 &&
+           index <= count;
+}
+
 } // namespace
 
 int
@@ -129,7 +146,6 @@ main(int argc, char **argv)
 {
     bool smoke = false;
     std::vector<std::string> only;
-    std::string serveAddr;
     unsigned shardIndex = 1, shardCount = 1;
     std::vector<char *> passArgv = {argv[0]};
     for (int i = 1; i < argc; ++i) {
@@ -142,19 +158,9 @@ main(int argc, char **argv)
                 return 2;
             }
             only = splitCsv(argv[++i]);
-        } else if (a == "--serve") {
-            if (i + 1 >= argc) {
-                std::cerr << "run_matrix: --serve requires an address "
-                             "(socket path or `auto`)\n";
-                return 2;
-            }
-            serveAddr = argv[++i];
         } else if (a == "--shard") {
             if (i + 1 >= argc ||
-                std::sscanf(argv[i + 1], "%u/%u", &shardIndex,
-                            &shardCount) != 2 ||
-                shardCount == 0 || shardIndex == 0 ||
-                shardIndex > shardCount) {
+                !parseShard(argv[i + 1], shardIndex, shardCount)) {
                 std::cerr << "run_matrix: --shard wants I/N with "
                              "1 <= I <= N\n";
                 return 2;
@@ -207,29 +213,12 @@ main(int argc, char **argv)
         std::cout << "shard " << shardIndex << "/" << shardCount << ": "
                   << schedule.size() << " experiments\n";
     }
-
-    // Client mode: every cacheable simulation executes on the daemon's
-    // shared pool/cache instead of locally. `auto` spawns a private
-    // daemon (the smoke test's spawn/teardown path); a socket path
-    // joins a daemon other shards share.
-    int servePid = -1;
-    std::string serveSocket = serveAddr;
-    try {
-        if (serveAddr == "auto") {
-            serveSocket =
-                "/tmp/wisc-serve-" + std::to_string(::getpid()) +
-                ".sock";
-            std::vector<std::string> extra;
-            if (cli.output().noCache)
-                extra = {"--cache", ""}; // override WISC_CACHE_DIR env
-            servePid = serve::spawnServeDaemon(
-                serveSocket, cli.output().cacheDir, extra);
-        }
-        if (!serveSocket.empty())
-            serve::installServeTransport(serveSocket);
-    } catch (const FatalError &e) {
-        std::cerr << "run_matrix: " << e.what() << "\n";
-        return 1;
+    // A shard past the end of the schedule would run nothing and look
+    // like success; a mistyped split must not pass silently.
+    if (schedule.empty()) {
+        std::cerr << "run_matrix: shard " << shardIndex << "/"
+                  << shardCount << " has no experiments to run\n";
+        return 2;
     }
 
     json::Value experiments = json::Value::array();
@@ -263,24 +252,6 @@ main(int argc, char **argv)
     cli.add("smoke", json::Value(smoke));
     cli.add("experiments", std::move(experiments));
     cli.add("experiment_wall_seconds", std::move(wallByExperiment));
-
-    if (!serveSocket.empty()) try {
-        json::Value serveStats =
-            serve::ServeClient(serveSocket).stats();
-        std::cout << "serve: " << serveStats.at("completed").asUint()
-                  << " runs served, "
-                  << serveStats.at("coalesced").asUint()
-                  << " coalesced, cache hit rate "
-                  << Table::num(
-                         serveStats.at("cache_hit_rate").asDouble(), 2)
-                  << "\n";
-        cli.add("serve", std::move(serveStats));
-        if (servePid > 0)
-            serve::stopServeDaemon(servePid, serveSocket);
-    } catch (const FatalError &e) {
-        std::cerr << "run_matrix: " << e.what() << "\n";
-        return 1;
-    }
 
     int rc = cli.finish();
     return firstFailure ? firstFailure : rc;

@@ -62,53 +62,6 @@ toJson(const RunOutcome &r)
     return v;
 }
 
-RunOutcome
-runOutcomeFromJson(const json::Value &v)
-{
-    RunOutcome r;
-    r.result.halted = v.at("halted").asBool();
-    r.result.cycles = v.at("cycles").asUint();
-    r.result.retiredUops = v.at("retired_uops").asUint();
-    r.result.resultReg =
-        static_cast<Word>(v.at("result_reg").asUint());
-    r.result.memFingerprint = v.at("mem_fingerprint").asUint();
-
-    for (const auto &kv : v.at("counters").members())
-        r.stats[kv.first] = kv.second.asUint();
-
-    for (const auto &kv : v.at("histograms").members()) {
-        HistogramSnapshot snap;
-        snap.count = kv.second.at("count").asUint();
-        const json::Value &buckets = kv.second.at("buckets");
-        snap.buckets.reserve(buckets.size());
-        for (std::size_t i = 0; i < buckets.size(); ++i)
-            snap.buckets.push_back(buckets.at(i).asUint());
-        r.hists.emplace(kv.first, std::move(snap));
-    }
-
-    if (const json::Value *tables = v.find("tables")) {
-        for (const auto &kv : tables->members()) {
-            TableSnapshot snap;
-            const json::Value &cols = kv.second.at("columns");
-            for (std::size_t i = 0; i < cols.size(); ++i)
-                snap.columns.push_back(cols.at(i).asString());
-            const json::Value &rows = kv.second.at("rows");
-            for (std::size_t i = 0; i < rows.size(); ++i) {
-                const json::Value &row = rows.at(i);
-                std::vector<std::uint64_t> vals;
-                const json::Value &jv = row.at("values");
-                vals.reserve(jv.size());
-                for (std::size_t c = 0; c < jv.size(); ++c)
-                    vals.push_back(jv.at(c).asUint());
-                snap.rows.emplace(row.at("key").asUint(),
-                                  std::move(vals));
-            }
-            r.tables.emplace(kv.first, std::move(snap));
-        }
-    }
-    return r;
-}
-
 json::Value
 toJson(const NormalizedResults &r)
 {

@@ -48,16 +48,6 @@ json::Value toJson(const RunOutcome &r);
 json::Value toJson(const NormalizedResults &r);
 json::Value toJson(const Table &t);
 
-/**
- * Inverse of toJson(RunOutcome): reconstructs the outcome — result,
- * every counter, histogram, and table — bit-identically. This is the
- * wire decoding of the wisc-serve protocol, so client and daemon share
- * exactly the `--json` encoding rather than a third ad-hoc one.
- * Derived members ("ipc") are ignored. FatalError on a structurally
- * invalid document.
- */
-RunOutcome runOutcomeFromJson(const json::Value &v);
-
 /** Write a document to a file; FatalError if the file can't be written. */
 void writeJsonFile(const std::string &path, const json::Value &doc);
 

@@ -142,12 +142,6 @@ tmpSuffix()
 
 } // namespace
 
-std::uint32_t
-runCacheFormatVersion()
-{
-    return kFormatVersion;
-}
-
 // ---- entry encoding ---------------------------------------------------
 
 std::string
@@ -442,8 +436,9 @@ RunService::tryLoad(const RunKey &key, RunOutcome &out)
     // The entry exists but failed validation: corrupt, truncated, or
     // written by an incompatible format version. Fall back to a fresh
     // simulation (which overwrites it) rather than failing the run.
-    // Warn once per offending path: under N sharded wisc-serve clients
-    // one poisoned entry would otherwise emit a warning per request.
+    // Warn once per offending path: under N --shard processes sharing
+    // the directory one poisoned entry would otherwise emit a warning
+    // per request.
     bool firstSighting;
     std::uint64_t total;
     {

@@ -147,11 +147,6 @@ std::string encodeRunOutcome(const RunKey &key, const RunOutcome &out);
 bool decodeRunOutcome(const std::string &bytes, const RunKey &key,
                       RunOutcome &out);
 
-/** The on-disk entry format version. Part of the wisc-serve machine
- *  fingerprint: a client and daemon that would write incompatible cache
- *  entries must fail the handshake, not poison each other's replays. */
-std::uint32_t runCacheFormatVersion();
-
 } // namespace wisc
 
 #endif // WISC_HARNESS_RUN_CACHE_HH_

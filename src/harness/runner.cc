@@ -57,22 +57,6 @@ RunOutcome::require(const std::string &name) const
     return it->second;
 }
 
-namespace {
-RunTransport gTransport; // set before parallel phases, never during
-} // namespace
-
-void
-setRunTransport(RunTransport transport)
-{
-    gTransport = std::move(transport);
-}
-
-bool
-runTransportInstalled()
-{
-    return static_cast<bool>(gTransport);
-}
-
 RunOutcome
 run(const RunRequest &req)
 {
@@ -86,8 +70,6 @@ run(const RunRequest &req)
     }
     if (req.cache == RunRequest::CachePolicy::Bypass || !req.sinks.empty())
         return captureRun(*prog, req.params, req.sinks);
-    if (gTransport)
-        return gTransport(*prog, req.params);
     return RunService::global().run(*prog, req.params);
 }
 

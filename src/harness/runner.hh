@@ -12,15 +12,12 @@
  * Cacheable requests are served through the global RunService, so
  * identical requests dedup/replay when the run cache is enabled;
  * requests carrying sinks always simulate (a replay could not feed
- * the observers). With a RunTransport installed (run_matrix --serve),
- * cacheable sink-free requests are executed by a wisc-serve daemon
- * instead of this process.
+ * the observers).
  */
 
 #ifndef WISC_HARNESS_RUNNER_HH_
 #define WISC_HARNESS_RUNNER_HH_
 
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -133,26 +130,6 @@ RunOutcome run(const RunRequest &req);
  */
 RunOutcome captureRun(const Program &prog, const SimParams &params,
                       const std::vector<ProbeSink *> &sinks = {});
-
-/**
- * Pluggable executor for cacheable, sink-free requests: when installed,
- * run() routes them here instead of the in-process RunService — this is
- * how `run_matrix --serve` ships every simulation to a wisc-serve
- * daemon (src/serve/client.hh installs a socket-backed transport).
- * Requests that cannot leave the process (CachePolicy::Bypass, attached
- * probe sinks) always execute locally. The transport must be
- * thread-safe: ParallelRunner workers call run() concurrently.
- */
-using RunTransport =
-    std::function<RunOutcome(const Program &, const SimParams &)>;
-
-/** Install (or, with nullptr, remove) the process-wide transport. Not
- *  thread-safe against concurrent run() calls — install before fanning
- *  work out, the way run_matrix does. */
-void setRunTransport(RunTransport transport);
-
-/** True when a transport is installed (simulations leave the process). */
-bool runTransportInstalled();
 
 } // namespace wisc
 
