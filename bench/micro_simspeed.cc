@@ -122,62 +122,40 @@ main(int argc, char **argv)
     }
     t.print(std::cout);
 
-    // Functional-emulator throughput: reference switch dispatch vs the
-    // threaded-code engine the sampled-simulation fast-forward runs on.
-    // Runs are repeated until each timed cell is long enough to measure;
-    // both dispatchers must agree bit-for-bit on every run (the cheap
-    // in-bench shadow of the fuzzer's dispatch-differential mode).
-    struct DispatchSpec
-    {
-        const char *label;
-        EmuDispatch dispatch;
-    };
-    const DispatchSpec kDispatch[] = {
-        {"switch", EmuDispatch::Switch},
-        {"threaded", EmuDispatch::Threaded},
-    };
+    // Functional-emulator throughput: the threaded engine the emulator
+    // and the sampled-simulation fast-forward run on. Runs are repeated
+    // until each timed cell is long enough to measure.
     const unsigned reps = smoke ? 10 : 40;
-
-    Table et({"dispatch", "uops", "wall_s", "Muops/s"});
-    double emuRate[2] = {0.0, 0.0};
-    for (unsigned d = 0; d < 2; ++d) {
-        std::uint64_t uops = 0;
-        double wall = 0.0;
-        for (const CompiledWorkload &w : compiled) {
-            for (const VariantSpec &vs : kVariants) {
-                Program prog = programFor(w, vs.variant, InputSet::A);
-                Emulator em;
-                EmuResult first{};
-                auto t0 = std::chrono::steady_clock::now();
-                for (unsigned i = 0; i < reps; ++i) {
-                    EmuResult r =
-                        em.run(prog, nullptr, Emulator::kDefaultMaxSteps,
-                               kDispatch[d].dispatch);
-                    wisc_assert(r.halted, "emulator run did not halt");
-                    if (i == 0)
-                        first = r;
-                    wisc_assert(r.resultReg == first.resultReg &&
-                                    r.memFingerprint == first.memFingerprint,
-                                "emulator runs diverged across reps");
-                    uops += r.dynInsts;
-                }
-                auto t1 = std::chrono::steady_clock::now();
-                wall += seconds(t0, t1);
+    std::uint64_t emuUops = 0;
+    double emuWall = 0.0;
+    for (const CompiledWorkload &w : compiled) {
+        for (const VariantSpec &vs : kVariants) {
+            Program prog = programFor(w, vs.variant, InputSet::A);
+            Emulator em;
+            EmuResult first{};
+            auto t0 = std::chrono::steady_clock::now();
+            for (unsigned i = 0; i < reps; ++i) {
+                EmuResult r = em.run(prog);
+                wisc_assert(r.halted, "emulator run did not halt");
+                if (i == 0)
+                    first = r;
+                wisc_assert(r.resultReg == first.resultReg &&
+                                r.memFingerprint == first.memFingerprint,
+                            "emulator runs diverged across reps");
+                emuUops += r.dynInsts;
             }
+            auto t1 = std::chrono::steady_clock::now();
+            emuWall += seconds(t0, t1);
         }
-        emuRate[d] = static_cast<double>(uops) / wall;
-        et.addRow({kDispatch[d].label, std::to_string(uops),
-                   Table::num(wall), Table::num(emuRate[d] / 1e6)});
     }
+    const double emuRate = static_cast<double>(emuUops) / emuWall;
+    Table et({"dispatch", "uops", "wall_s", "Muops/s"});
+    et.addRow({"threaded", std::to_string(emuUops), Table::num(emuWall),
+               Table::num(emuRate / 1e6)});
     std::cout << "\nFunctional emulator (" << reps << " reps per cell):\n";
     et.print(std::cout);
-    std::cout << "\nThreaded dispatch: "
-              << Table::num(emuRate[1] / emuRate[0])
-              << "x the switch engine.\n";
     cli.addTable("emulator", et);
-    cli.add("emu_switch_uops_per_s", emuRate[0]);
-    cli.add("emu_threaded_uops_per_s", emuRate[1]);
-    cli.add("emu_threaded_speedup", emuRate[1] / emuRate[0]);
+    cli.add("emu_threaded_uops_per_s", emuRate);
 
     const double overall =
         static_cast<double>(totalUops) / totalSimSeconds;

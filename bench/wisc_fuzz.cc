@@ -2,16 +2,15 @@
  * @file
  * Differential fuzzing CLI. Generates seeded random programs, compiles
  * all five Table-3 binary variants, and cross-checks the functional
- * emulator against itself (full architectural state across variants),
- * its threaded computed-goto dispatch against the reference switch
- * interpreter (every architectural bit, on every variant), and the
- * cycle-accurate core over a SimParams matrix, including the
- * attribution-sum and poll-vs-event-scheduler invariants. Failures are
- * shrunk and written as self-contained reproducer files.
+ * emulator against itself (full architectural state across variants)
+ * and the cycle-accurate core against the emulator over a SimParams
+ * matrix, including the attribution-sum and poll-vs-event-scheduler
+ * invariants. Failures are shrunk and written as self-contained
+ * reproducer files.
  *
  * Usage:
- *   wisc_fuzz [--seed N] [--runs N] [--matrix smoke|full] [--emu-only]
- *             [--no-dispatch] [--no-shrink] [--repro-dir DIR]
+ *   wisc_fuzz [--seed N] [--runs N] [--matrix smoke|full] [--stress]
+ *             [--emu-only] [--no-shrink] [--repro-dir DIR]
  *             [--replay FILE] [--json PATH]
  *
  * --replay FILE re-checks a reproducer written by an earlier campaign
@@ -38,7 +37,7 @@ usage(std::ostream &os, const char *argv0, int code)
 {
     os << "usage: " << argv0
        << " [--seed N] [--runs N] [--matrix smoke|full]"
-          " [--stress] [--emu-only] [--no-dispatch] [--no-shrink]"
+          " [--stress] [--emu-only] [--no-shrink]"
           " [--repro-dir DIR] [--replay FILE] [--json PATH]\n";
     return code;
 }
@@ -74,8 +73,6 @@ main(int argc, char **argv)
             matrixName = value("--matrix");
         else if (a == "--emu-only")
             opts.runCore = false;
-        else if (a == "--no-dispatch")
-            opts.checkDispatch = false;
         else if (a == "--stress") {
             // Harsher shapes: deeper nesting, more regions (close to —
             // and past — the fresh-guard pool), more loops straddling
@@ -150,7 +147,6 @@ main(int argc, char **argv)
     Table t({"metric", "value"});
     t.addRow({"programs", std::to_string(rep.programs)});
     t.addRow({"variant emulations", std::to_string(rep.variantsChecked)});
-    t.addRow({"dispatch cross-checks", std::to_string(rep.dispatchChecked)});
     t.addRow({"core simulations", std::to_string(rep.coreRuns)});
     t.addRow({"compile rejects", std::to_string(rep.compileRejects)});
     t.addRow({"failures", std::to_string(rep.failures.size())});
@@ -161,7 +157,6 @@ main(int argc, char **argv)
     cli.add("matrix", matrixName);
     cli.add("programs", rep.programs);
     cli.add("variants_checked", rep.variantsChecked);
-    cli.add("dispatch_checked", rep.dispatchChecked);
     cli.add("core_runs", rep.coreRuns);
     cli.add("compile_rejects", rep.compileRejects);
     cli.add("failure_count",

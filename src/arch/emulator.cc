@@ -1,8 +1,6 @@
 #include "arch/emulator.hh"
 
-#include "arch/executor.hh"
 #include "arch/threaded.hh"
-#include "common/log.hh"
 
 namespace wisc {
 
@@ -48,8 +46,7 @@ Profile::mispredictEstimate(std::uint32_t idx) const
 }
 
 EmuResult
-Emulator::run(const Program &prog, Profile *profile,
-              std::uint64_t maxSteps, EmuDispatch dispatch)
+Emulator::run(const Program &prog, Profile *profile, std::uint64_t maxSteps)
 {
     prog.validate();
 
@@ -61,57 +58,18 @@ Emulator::run(const Program &prog, Profile *profile,
         profile->dynInsts = 0;
     }
 
-    EmuResult res;
-    std::uint32_t pc = prog.entry();
-    const auto code_size = static_cast<std::uint32_t>(prog.size());
-
-    if (dispatch == EmuDispatch::Threaded) {
-        ThreadedResult tr =
-            profile ? threadedRun(prog, state_, pc, maxSteps,
-                                  ProfileHooks{profile})
-                    : threadedRun(prog, state_, pc, maxSteps,
-                                  NullExecHooks{});
-        res.dynInsts = tr.steps;
-        res.predFalse = tr.predFalse;
-        res.halted = tr.halted;
-        if (profile)
-            profile->dynInsts = res.dynInsts;
-        res.resultReg = state_.readReg(4);
-        res.memFingerprint = state_.mem().fingerprint();
-        return res;
-    }
-
-    while (res.dynInsts < maxSteps) {
-        wisc_assert(pc < code_size, "pc ", pc, " escaped the program");
-        const Instruction &inst = prog.code()[pc];
-        StepResult step = executeInst(inst, pc, code_size, state_, nullptr);
-        wisc_assert(!step.badTarget,
-                    "indirect branch to a bad target on the correct path "
-                    "at instruction ", pc);
-
-        ++res.dynInsts;
-        if (!step.qpTrue)
-            ++res.predFalse;
-
-        if (profile) {
-            InstProfile &p = profile->perInst[pc];
-            ++p.execCount;
-            if (step.qpTrue)
-                ++p.qpTrueCount;
-            if (inst.op == Opcode::Br && step.taken)
-                ++p.takenCount;
-        }
-
-        if (step.halted) {
-            res.halted = true;
-            break;
-        }
-        pc = step.nextIndex;
-    }
-
+    const std::uint32_t pc = prog.entry();
+    ThreadedResult tr =
+        profile ? threadedRun(prog, state_, pc, maxSteps,
+                              ProfileHooks{profile})
+                : threadedRun(prog, state_, pc, maxSteps, NullExecHooks{});
     if (profile)
-        profile->dynInsts = res.dynInsts;
+        profile->dynInsts = tr.steps;
 
+    EmuResult res;
+    res.dynInsts = tr.steps;
+    res.predFalse = tr.predFalse;
+    res.halted = tr.halted;
     res.resultReg = state_.readReg(4);
     res.memFingerprint = state_.mem().fingerprint();
     return res;

@@ -1,9 +1,10 @@
 /**
  * @file
- * Reference functional emulator: runs a Program to completion, optionally
- * collecting an edge profile for the compiler's cost model, and produces a
- * result fingerprint that every binary variant of the same kernel must
- * match (the architectural-equivalence invariant).
+ * Functional emulator: runs a Program to completion on the threaded
+ * engine (arch/threaded.hh), optionally collecting an edge profile for
+ * the compiler's cost model, and produces a result fingerprint that
+ * every binary variant of the same kernel must match (the
+ * architectural-equivalence invariant).
  */
 
 #ifndef WISC_ARCH_EMULATOR_HH_
@@ -52,17 +53,6 @@ struct EmuResult
     std::uint64_t memFingerprint = 0;
 };
 
-/** Which execution engine drives a functional run. */
-enum class EmuDispatch : std::uint8_t
-{
-    /** Reference: one executeInst() switch per instruction. */
-    Switch,
-    /** Computed-goto threaded dispatch (arch/threaded.hh). Bit-identical
-     *  to Switch in architectural state — the fuzzer's dispatch
-     *  differential proves it on every generated program. */
-    Threaded,
-};
-
 /** Functional emulator. */
 class Emulator
 {
@@ -76,12 +66,9 @@ class Emulator
      * @param prog     validated program to run
      * @param profile  if non-null, filled with per-instruction counters
      * @param maxSteps abort (halted=false) after this many instructions
-     * @param dispatch execution engine (Threaded by default; Switch is
-     *                 the semantic reference the fuzzer diffs against)
      */
     EmuResult run(const Program &prog, Profile *profile = nullptr,
-                  std::uint64_t maxSteps = kDefaultMaxSteps,
-                  EmuDispatch dispatch = EmuDispatch::Threaded);
+                  std::uint64_t maxSteps = kDefaultMaxSteps);
 
     /** Architectural state after the last run (for inspection in tests). */
     const ArchState &state() const { return state_; }

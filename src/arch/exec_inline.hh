@@ -1,11 +1,10 @@
 /**
  * @file
- * Shared architectural arithmetic, hoisted out of the switch executor
- * so the threaded-code dispatch loop (arch/threaded.hh) and the
- * reference executor (arch/executor.cc) compute every operation from
- * the same definitions. Divergence between the two execution engines
- * must only ever come from dispatch structure, never from semantics —
- * the differential fuzzer enforces that, these helpers make it cheap.
+ * The arithmetic of WISC's value expressions: the functions the opcode
+ * list in isa/isa.hh names (wrapAdd, safeDiv, shiftLeft, ...). Every
+ * edge case — signed overflow, division by zero, shift amounts of 64
+ * or more — is decided here, once, for both execution engines that
+ * arch/semantics.hh instantiates.
  */
 
 #ifndef WISC_ARCH_EXEC_INLINE_HH_
@@ -13,9 +12,7 @@
 
 #include <limits>
 
-#include "arch/state.hh"
 #include "common/types.hh"
-#include "isa/isa.hh"
 
 namespace wisc {
 
@@ -59,14 +56,23 @@ safeRem(Word a, Word b)
     return a % b;
 }
 
-/** Compare result write: pd gets the condition, pd2 its complement. */
-inline void
-execWriteCmp(ArchState &state, const Instruction &inst, bool cond)
+/** Shifts use the low six bits of the amount; shiftRight is logical. */
+inline Word
+shiftLeft(Word a, Word b)
 {
-    if (inst.pd != kPredNone)
-        state.writePred(inst.pd, cond);
-    if (inst.pd2 != kPredNone)
-        state.writePred(inst.pd2, !cond);
+    return static_cast<Word>(static_cast<UWord>(a) << (b & 63));
+}
+
+inline Word
+shiftRight(Word a, Word b)
+{
+    return static_cast<Word>(static_cast<UWord>(a) >> (b & 63));
+}
+
+inline Word
+shiftRightArith(Word a, Word b)
+{
+    return a >> (b & 63);
 }
 
 } // namespace wisc

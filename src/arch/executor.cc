@@ -1,200 +1,111 @@
 #include "arch/executor.hh"
 
-#include "arch/exec_inline.hh"
+#include "arch/semantics.hh"
 #include "common/log.hh"
 
 namespace wisc {
+
+namespace {
+
+/** The core's access policy: every old value goes to the undo log (when
+ *  one is given), and the step's side effects land in its StepResult. */
+struct UndoAccess : StateAccess
+{
+    UndoLog *undo;
+    StepResult &res;
+    std::uint32_t codeSize;
+
+    void
+    writeReg(RegIdx r, Word v)
+    {
+        if (undo && r != kRegZero)
+            undo->recordReg(r, state.readReg(r));
+        state.writeReg(r, v);
+    }
+
+    void
+    writePred(PredIdx p, bool v)
+    {
+        if (undo)
+            undo->recordPred(p, state.readPred(p));
+        state.writePred(p, v);
+    }
+
+    Word
+    load(Addr ea, unsigned size)
+    {
+        res.memAddr = ea;
+        res.memSize = static_cast<std::uint8_t>(size);
+        return StateAccess::load(ea, size);
+    }
+
+    void
+    store(Addr ea, unsigned size, Word v)
+    {
+        res.memAddr = ea;
+        res.memSize = static_cast<std::uint8_t>(size);
+        if (undo)
+            undo->recordMem(ea, res.memSize,
+                            static_cast<UWord>(StateAccess::load(ea, size)));
+        StateAccess::store(ea, size, v);
+    }
+
+    std::uint32_t
+    branch(std::uint32_t, const Instruction &in)
+    {
+        res.taken = true;
+        return in.target;
+    }
+
+    std::uint32_t
+    jump(std::uint32_t, const Instruction &in)
+    {
+        res.taken = true;
+        return in.target;
+    }
+
+    std::uint32_t
+    jumpIndirect(std::uint32_t pc, const Instruction &, Addr t)
+    {
+        res.taken = true;
+        const std::uint32_t idx = indirectIndex(t, codeSize);
+        if (idx != kNoTarget)
+            return idx;
+        // Only reachable on a speculative wrong path: the caller decides
+        // how to contain it (typically by fetching a NOP stream until
+        // the flush arrives).
+        res.badTarget = true;
+        return pc + 1;
+    }
+
+    void halt() { res.halted = true; }
+};
+
+} // namespace
 
 StepResult
 executeInst(const Instruction &inst, std::uint32_t index,
             std::uint32_t codeSize, ArchState &state, UndoLog *undo)
 {
     StepResult res;
-    res.nextIndex = index + 1;
+    UndoAccess p{{state}, undo, res, codeSize};
     res.qpTrue = state.readPred(inst.qp);
-
-    // A FALSE qualifying predicate nullifies the instruction: no register,
-    // predicate, or memory write, and branches fall through. The single
-    // exception is an unconditional compare (IA-64 cmp.unc semantics),
-    // which clears both predicate destinations when nullified.
     if (!res.qpTrue) {
-        if (inst.unc && inst.writesPred()) {
-            if (inst.pd != kPredNone) {
-                if (undo)
-                    undo->recordPred(inst.pd, state.readPred(inst.pd));
-                state.writePred(inst.pd, false);
-            }
-            if (inst.pd2 != kPredNone) {
-                if (undo)
-                    undo->recordPred(inst.pd2, state.readPred(inst.pd2));
-                state.writePred(inst.pd2, false);
-            }
-        }
+        nullify(p, inst);
+        res.nextIndex = index + 1;
         return res;
     }
 
-    auto writeReg = [&](RegIdx r, Word v) {
-        if (undo && r != kRegZero)
-            undo->recordReg(r, state.readReg(r));
-        state.writeReg(r, v);
-    };
-    auto writePred = [&](PredIdx p, bool v) {
-        if (p == kPredNone)
-            return;
-        if (undo)
-            undo->recordPred(p, state.readPred(p));
-        state.writePred(p, v);
-    };
-    auto writeCmp = [&](bool cond) {
-        writePred(inst.pd, cond);
-        writePred(inst.pd2, !cond);
-    };
-
-    const Word a = state.readReg(inst.rs1);
-    const Word b = state.readReg(inst.rs2);
-    const Word im = inst.imm;
-
     switch (inst.op) {
-      case Opcode::Add:  writeReg(inst.rd, wrapAdd(a, b)); break;
-      case Opcode::Sub:  writeReg(inst.rd, wrapSub(a, b)); break;
-      case Opcode::And:  writeReg(inst.rd, a & b); break;
-      case Opcode::Or:   writeReg(inst.rd, a | b); break;
-      case Opcode::Xor:  writeReg(inst.rd, a ^ b); break;
-      case Opcode::Shl:
-        writeReg(inst.rd, static_cast<Word>(static_cast<UWord>(a)
-                                            << (b & 63)));
+#define WISC_EXEC_CASE(Name, ...)                                        \
+      case Opcode::Name:                                                 \
+        res.nextIndex = exec##Name(p, inst, index);                      \
         break;
-      case Opcode::Shr:
-        writeReg(inst.rd, static_cast<Word>(static_cast<UWord>(a)
-                                            >> (b & 63)));
-        break;
-      case Opcode::Sra:  writeReg(inst.rd, a >> (b & 63)); break;
-      case Opcode::Mul:  writeReg(inst.rd, wrapMul(a, b)); break;
-      case Opcode::Div:  writeReg(inst.rd, safeDiv(a, b)); break;
-      case Opcode::Rem:  writeReg(inst.rd, safeRem(a, b)); break;
-
-      case Opcode::AddI: writeReg(inst.rd, wrapAdd(a, im)); break;
-      case Opcode::AndI: writeReg(inst.rd, a & im); break;
-      case Opcode::OrI:  writeReg(inst.rd, a | im); break;
-      case Opcode::XorI: writeReg(inst.rd, a ^ im); break;
-      case Opcode::ShlI:
-        writeReg(inst.rd, static_cast<Word>(static_cast<UWord>(a)
-                                            << (im & 63)));
-        break;
-      case Opcode::ShrI:
-        writeReg(inst.rd, static_cast<Word>(static_cast<UWord>(a)
-                                            >> (im & 63)));
-        break;
-      case Opcode::SraI: writeReg(inst.rd, a >> (im & 63)); break;
-      case Opcode::MulI: writeReg(inst.rd, wrapMul(a, im)); break;
-      case Opcode::Li:   writeReg(inst.rd, im); break;
-
-      case Opcode::CmpEq:  writeCmp(a == b); break;
-      case Opcode::CmpNe:  writeCmp(a != b); break;
-      case Opcode::CmpLt:  writeCmp(a < b); break;
-      case Opcode::CmpLe:  writeCmp(a <= b); break;
-      case Opcode::CmpGt:  writeCmp(a > b); break;
-      case Opcode::CmpGe:  writeCmp(a >= b); break;
-      case Opcode::CmpLtU:
-        writeCmp(static_cast<UWord>(a) < static_cast<UWord>(b));
-        break;
-      case Opcode::CmpGeU:
-        writeCmp(static_cast<UWord>(a) >= static_cast<UWord>(b));
-        break;
-      case Opcode::CmpEqI: writeCmp(a == im); break;
-      case Opcode::CmpNeI: writeCmp(a != im); break;
-      case Opcode::CmpLtI: writeCmp(a < im); break;
-      case Opcode::CmpLeI: writeCmp(a <= im); break;
-      case Opcode::CmpGtI: writeCmp(a > im); break;
-      case Opcode::CmpGeI: writeCmp(a >= im); break;
-
-      case Opcode::PSet: writePred(inst.pd, (im & 1) != 0); break;
-      case Opcode::PNot: writePred(inst.pd, !state.readPred(inst.ps)); break;
-      case Opcode::PAnd:
-        writePred(inst.pd,
-                  state.readPred(inst.ps) && state.readPred(inst.ps2));
-        break;
-      case Opcode::POr:
-        writePred(inst.pd,
-                  state.readPred(inst.ps) || state.readPred(inst.ps2));
-        break;
-
-      case Opcode::Ld: {
-        Addr ea = static_cast<Addr>(wrapAdd(a, im));
-        res.memAddr = ea;
-        res.memSize = 8;
-        writeReg(inst.rd, static_cast<Word>(state.mem().readWord(ea)));
-        break;
-      }
-      case Opcode::Ld1: {
-        Addr ea = static_cast<Addr>(wrapAdd(a, im));
-        res.memAddr = ea;
-        res.memSize = 1;
-        writeReg(inst.rd, static_cast<Word>(state.mem().readByte(ea)));
-        break;
-      }
-      case Opcode::St: {
-        Addr ea = static_cast<Addr>(wrapAdd(a, im));
-        res.memAddr = ea;
-        res.memSize = 8;
-        if (undo)
-            undo->recordMem(ea, 8, state.mem().readWord(ea));
-        state.mem().writeWord(ea, static_cast<UWord>(b));
-        break;
-      }
-      case Opcode::St1: {
-        Addr ea = static_cast<Addr>(wrapAdd(a, im));
-        res.memAddr = ea;
-        res.memSize = 1;
-        if (undo)
-            undo->recordMem(ea, 1, state.mem().readByte(ea));
-        state.mem().writeByte(ea, static_cast<std::uint8_t>(b));
-        break;
-      }
-
-      case Opcode::Br:
-        // The qualifying predicate *is* the branch condition; reaching
-        // this point means it was TRUE, so the branch is taken.
-        res.taken = true;
-        res.nextIndex = inst.target;
-        break;
-      case Opcode::Jmp:
-        res.taken = true;
-        res.nextIndex = inst.target;
-        break;
-      case Opcode::Call:
-        writeReg(inst.rd, static_cast<Word>(instAddr(index + 1)));
-        res.taken = true;
-        res.nextIndex = inst.target;
-        break;
-      case Opcode::JmpR:
-      case Opcode::Ret: {
-        res.taken = true;
-        Addr t = static_cast<Addr>(a);
-        if (t < kTextBase || (t - kTextBase) % kInstBytes != 0 ||
-            addrToIndex(t) >= codeSize) {
-            // Only reachable on a speculative wrong path: the caller
-            // decides how to contain it (typically by fetching a NOP
-            // stream until the flush arrives).
-            res.badTarget = true;
-            res.nextIndex = index + 1;
-        } else {
-            res.nextIndex = static_cast<std::uint32_t>(addrToIndex(t));
-        }
-        break;
-      }
-
-      case Opcode::Nop:
-        break;
-      case Opcode::Halt:
-        res.halted = true;
-        res.nextIndex = index;
-        break;
-
+        WISC_OPCODES(WISC_EXEC_CASE)
+#undef WISC_EXEC_CASE
       case Opcode::NumOpcodes:
         wisc_panic("executed NumOpcodes sentinel");
     }
-
     return res;
 }
 

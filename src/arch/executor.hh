@@ -2,11 +2,12 @@
  * @file
  * Single-instruction functional executor with optional undo recording.
  *
- * Shared by the reference emulator and the timing core. The executor
- * implements WISC's full architectural semantics including predication:
- * an instruction whose qualifying predicate evaluates FALSE performs no
- * architectural writes (it behaves as a NOP), and a branch whose qp is
- * FALSE falls through.
+ * The timing core's execute-at-fetch: the undo-recording instantiation
+ * of the opcode bodies in arch/semantics.hh, whose other instantiation
+ * (arch/threaded.hh) the emulator runs. An instruction whose qualifying
+ * predicate evaluates FALSE performs no architectural writes (it
+ * behaves as a NOP, except that an unc compare clears its destinations),
+ * and a branch whose qp is FALSE falls through.
  */
 
 #ifndef WISC_ARCH_EXECUTOR_HH_

@@ -1,24 +1,16 @@
 /**
  * @file
- * Threaded-code functional execution engine: the high-throughput
- * counterpart of the reference switch executor (arch/executor.cc).
+ * Threaded-code functional execution engine: what the emulator, the
+ * compiler's profiler and the sampled-simulation fast forward run.
  *
- * The switch emulator pays one StepResult round trip per instruction —
- * build the result struct, return it, reinterpret it in the caller's
- * loop. The threaded engine instead drives a computed-goto dispatch
- * loop from a per-PC handler table built once from the program's
- * static image (the same predecode idea the timing core uses): each
- * handler finishes by jumping straight to the next instruction's
- * handler, so the hot path is a single indirect branch per µop with no
- * struct traffic and no per-step function call. On compilers without
- * the GNU labels-as-values extension the same entry point falls back
- * to a loop over executeInst(), preserving semantics exactly.
- *
- * Semantics are intentionally *written twice* (flattened handlers here,
- * the switch in executor.cc) but *defined once*: all arithmetic edge
- * cases live in arch/exec_inline.hh, and the differential fuzzer's
- * dispatch mode cross-checks every architectural bit between the two
- * engines on every generated program.
+ * A computed-goto dispatch loop jumps through a per-PC handler table
+ * built once from the program's static image (the same predecode idea
+ * the timing core uses): each handler finishes by jumping straight to
+ * the next instruction's handler, so the hot path is one indirect
+ * branch per µop, with no result struct and no per-step call. The label
+ * table and the handlers are generated from WISC_OPCODES, and each
+ * handler is the opcode's body from arch/semantics.hh, the same one
+ * executeInst() runs for the core.
  *
  * The Hooks template parameter is how the sampled-simulation fast
  * forward observes the instruction stream (branch outcomes, control
@@ -31,10 +23,10 @@
 #define WISC_ARCH_THREADED_HH_
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
-#include "arch/exec_inline.hh"
-#include "arch/executor.hh"
+#include "arch/semantics.hh"
 #include "arch/state.hh"
 #include "common/log.hh"
 #include "isa/isa.hh"
@@ -61,6 +53,56 @@ struct NullExecHooks
     void onMem(Addr, unsigned, bool) {}
 };
 
+/** threadedRun()'s access policy: plain state access plus the hooks. */
+template <class Hooks>
+struct HookedAccess : StateAccess
+{
+    Hooks &hooks;
+    std::uint32_t codeSize;
+
+    Word
+    load(Addr ea, unsigned size)
+    {
+        hooks.onMem(ea, size, false);
+        return StateAccess::load(ea, size);
+    }
+
+    void
+    store(Addr ea, unsigned size, Word v)
+    {
+        hooks.onMem(ea, size, true);
+        StateAccess::store(ea, size, v);
+    }
+
+    std::uint32_t
+    branch(std::uint32_t pc, const Instruction &in)
+    {
+        hooks.onBranch(pc, in, true);
+        return in.target;
+    }
+
+    std::uint32_t
+    jump(std::uint32_t pc, const Instruction &in)
+    {
+        hooks.onCtrl(pc, in, in.target);
+        return in.target;
+    }
+
+    std::uint32_t
+    jumpIndirect(std::uint32_t pc, const Instruction &in, Addr t)
+    {
+        // The architectural path never decodes a bad indirect target;
+        // only the core's speculative wrong paths can.
+        const std::uint32_t idx = indirectIndex(t, codeSize);
+        wisc_assert(idx != kNoTarget,
+                    "indirect branch to bad target at instruction ", +pc);
+        hooks.onCtrl(pc, in, idx);
+        return idx;
+    }
+
+    void halt() {}
+};
+
 /**
  * Execute up to 'maxSteps' instructions of 'prog' against 'state',
  * starting at instruction index 'startPc'. Stops early when a Halt
@@ -82,34 +124,20 @@ threadedRun(const Program &prog, ArchState &state, std::uint32_t startPc,
 {
     const Instruction *const code = prog.codeData();
     const std::uint32_t codeSize = static_cast<std::uint32_t>(prog.size());
-
-    ThreadedResult res;
-    res.nextPc = startPc;
     if (maxSteps == 0)
-        return res;
+        return {0, 0, startPc, false};
 
-    std::uint32_t pc = startPc;
-    std::uint64_t steps = 0;
+    std::uint64_t left = maxSteps; // budget not yet spent
     std::uint64_t predFalse = 0;
-    const Instruction *inst = nullptr;
+    bool halted = false;
+    HookedAccess<std::remove_reference_t<Hooks>> p{{state}, hooks,
+                                                   codeSize};
 
-#if defined(__GNUC__) || defined(__clang__)
-    // One handler label per opcode, in exact Opcode enum order.
     static const void *const kOp[] = {
-        &&op_Add,    &&op_Sub,    &&op_And,    &&op_Or,     &&op_Xor,
-        &&op_Shl,    &&op_Shr,    &&op_Sra,    &&op_Mul,    &&op_Div,
-        &&op_Rem,    &&op_AddI,   &&op_AndI,   &&op_OrI,    &&op_XorI,
-        &&op_ShlI,   &&op_ShrI,   &&op_SraI,   &&op_MulI,   &&op_Li,
-        &&op_CmpEq,  &&op_CmpNe,  &&op_CmpLt,  &&op_CmpLe,  &&op_CmpGt,
-        &&op_CmpGe,  &&op_CmpLtU, &&op_CmpGeU, &&op_CmpEqI, &&op_CmpNeI,
-        &&op_CmpLtI, &&op_CmpLeI, &&op_CmpGtI, &&op_CmpGeI, &&op_PSet,
-        &&op_PNot,   &&op_PAnd,   &&op_POr,    &&op_Ld,     &&op_St,
-        &&op_Ld1,    &&op_St1,    &&op_Br,     &&op_Jmp,    &&op_JmpR,
-        &&op_Call,   &&op_Ret,    &&op_Nop,    &&op_Halt,
+#define WISC_THREADED_LABEL(Name, ...) &&op_##Name,
+        WISC_OPCODES(WISC_THREADED_LABEL)
+#undef WISC_THREADED_LABEL
     };
-    static_assert(sizeof(kOp) / sizeof(kOp[0]) ==
-                      static_cast<std::size_t>(Opcode::NumOpcodes),
-                  "handler table must cover every opcode, in enum order");
 
     // Per-PC predecoded handler table: dispatching loads the handler
     // address straight from the instruction index, skipping the
@@ -118,227 +146,53 @@ threadedRun(const Program &prog, ArchState &state, std::uint32_t startPc,
     for (std::uint32_t i = 0; i < codeSize; ++i)
         tbl[i] = kOp[static_cast<unsigned>(code[i].op)];
 
-    // Budget check *before* executing, matching the reference loop's
-    // `while (dynInsts < maxSteps)` — a zero budget runs nothing, and
-    // a leg never overshoots by even one instruction.
+    // The loop's cursor is the instruction pointer itself, and pc is
+    // derived from it: a separate pc variable ends up in memory, which
+    // puts a store-to-load round trip on every step's critical path.
+    const Instruction *inst = code + startPc;
+#define WISC_THREADED_PC static_cast<std::uint32_t>(inst - code)
+
+    // Budget check *before* executing: a zero budget runs nothing, and a
+    // leg never overshoots by even one instruction.
 #define WISC_THREADED_DISPATCH()                                          \
     do {                                                                  \
-        if (steps >= maxSteps)                                            \
+        if (left == 0)                                                    \
             goto out;                                                     \
-        wisc_assert(pc < codeSize, "pc ", pc,                             \
+        wisc_assert(inst < code + codeSize, "pc ", WISC_THREADED_PC,      \
                     " escaped the program (codeSize ", codeSize, ")");    \
-        inst = &code[pc];                                                 \
-        ++steps;                                                          \
+        --left;                                                           \
         if (!state.readPred(inst->qp))                                    \
             goto qp_false;                                                \
-        hooks.onInst(pc, *inst, true);                                    \
-        goto *tbl[pc];                                                    \
+        hooks.onInst(WISC_THREADED_PC, *inst, true);                      \
+        goto *tbl[inst - code];                                           \
     } while (0)
-
-#define WISC_THREADED_NEXT()                                              \
-    do {                                                                  \
-        ++pc;                                                             \
-        WISC_THREADED_DISPATCH();                                         \
-    } while (0)
-
-// Operand shorthands, valid inside handlers only.
-#define WA state.readReg(inst->rs1)
-#define WB state.readReg(inst->rs2)
-#define WIM (inst->imm)
-#define WWR(v) state.writeReg(inst->rd, (v))
 
     WISC_THREADED_DISPATCH();
 
 qp_false:
-    // Nullified: no architectural writes, branches fall through — with
-    // the one exception of unconditional compares, which clear both
-    // predicate destinations (IA-64 cmp.unc semantics).
     ++predFalse;
-    hooks.onInst(pc, *inst, false);
-    if (inst->unc && inst->writesPred()) {
-        if (inst->pd != kPredNone)
-            state.writePred(inst->pd, false);
-        if (inst->pd2 != kPredNone)
-            state.writePred(inst->pd2, false);
-    }
+    hooks.onInst(WISC_THREADED_PC, *inst, false);
+    nullify(p, *inst);
     if (inst->op == Opcode::Br)
-        hooks.onBranch(pc, *inst, false);
-    WISC_THREADED_NEXT();
-
-op_Add:  WWR(wrapAdd(WA, WB)); WISC_THREADED_NEXT();
-op_Sub:  WWR(wrapSub(WA, WB)); WISC_THREADED_NEXT();
-op_And:  WWR(WA & WB); WISC_THREADED_NEXT();
-op_Or:   WWR(WA | WB); WISC_THREADED_NEXT();
-op_Xor:  WWR(WA ^ WB); WISC_THREADED_NEXT();
-op_Shl:
-    WWR(static_cast<Word>(static_cast<UWord>(WA) << (WB & 63)));
-    WISC_THREADED_NEXT();
-op_Shr:
-    WWR(static_cast<Word>(static_cast<UWord>(WA) >> (WB & 63)));
-    WISC_THREADED_NEXT();
-op_Sra:  WWR(WA >> (WB & 63)); WISC_THREADED_NEXT();
-op_Mul:  WWR(wrapMul(WA, WB)); WISC_THREADED_NEXT();
-op_Div:  WWR(safeDiv(WA, WB)); WISC_THREADED_NEXT();
-op_Rem:  WWR(safeRem(WA, WB)); WISC_THREADED_NEXT();
-
-op_AddI: WWR(wrapAdd(WA, WIM)); WISC_THREADED_NEXT();
-op_AndI: WWR(WA & WIM); WISC_THREADED_NEXT();
-op_OrI:  WWR(WA | WIM); WISC_THREADED_NEXT();
-op_XorI: WWR(WA ^ WIM); WISC_THREADED_NEXT();
-op_ShlI:
-    WWR(static_cast<Word>(static_cast<UWord>(WA) << (WIM & 63)));
-    WISC_THREADED_NEXT();
-op_ShrI:
-    WWR(static_cast<Word>(static_cast<UWord>(WA) >> (WIM & 63)));
-    WISC_THREADED_NEXT();
-op_SraI: WWR(WA >> (WIM & 63)); WISC_THREADED_NEXT();
-op_MulI: WWR(wrapMul(WA, WIM)); WISC_THREADED_NEXT();
-op_Li:   WWR(WIM); WISC_THREADED_NEXT();
-
-op_CmpEq:  execWriteCmp(state, *inst, WA == WB); WISC_THREADED_NEXT();
-op_CmpNe:  execWriteCmp(state, *inst, WA != WB); WISC_THREADED_NEXT();
-op_CmpLt:  execWriteCmp(state, *inst, WA < WB); WISC_THREADED_NEXT();
-op_CmpLe:  execWriteCmp(state, *inst, WA <= WB); WISC_THREADED_NEXT();
-op_CmpGt:  execWriteCmp(state, *inst, WA > WB); WISC_THREADED_NEXT();
-op_CmpGe:  execWriteCmp(state, *inst, WA >= WB); WISC_THREADED_NEXT();
-op_CmpLtU:
-    execWriteCmp(state, *inst,
-                 static_cast<UWord>(WA) < static_cast<UWord>(WB));
-    WISC_THREADED_NEXT();
-op_CmpGeU:
-    execWriteCmp(state, *inst,
-                 static_cast<UWord>(WA) >= static_cast<UWord>(WB));
-    WISC_THREADED_NEXT();
-op_CmpEqI: execWriteCmp(state, *inst, WA == WIM); WISC_THREADED_NEXT();
-op_CmpNeI: execWriteCmp(state, *inst, WA != WIM); WISC_THREADED_NEXT();
-op_CmpLtI: execWriteCmp(state, *inst, WA < WIM); WISC_THREADED_NEXT();
-op_CmpLeI: execWriteCmp(state, *inst, WA <= WIM); WISC_THREADED_NEXT();
-op_CmpGtI: execWriteCmp(state, *inst, WA > WIM); WISC_THREADED_NEXT();
-op_CmpGeI: execWriteCmp(state, *inst, WA >= WIM); WISC_THREADED_NEXT();
-
-op_PSet:
-    if (inst->pd != kPredNone)
-        state.writePred(inst->pd, (WIM & 1) != 0);
-    WISC_THREADED_NEXT();
-op_PNot:
-    if (inst->pd != kPredNone)
-        state.writePred(inst->pd, !state.readPred(inst->ps));
-    WISC_THREADED_NEXT();
-op_PAnd:
-    if (inst->pd != kPredNone)
-        state.writePred(inst->pd, state.readPred(inst->ps) &&
-                                      state.readPred(inst->ps2));
-    WISC_THREADED_NEXT();
-op_POr:
-    if (inst->pd != kPredNone)
-        state.writePred(inst->pd, state.readPred(inst->ps) ||
-                                      state.readPred(inst->ps2));
-    WISC_THREADED_NEXT();
-
-op_Ld: {
-    Addr ea = static_cast<Addr>(wrapAdd(WA, WIM));
-    hooks.onMem(ea, 8, false);
-    WWR(static_cast<Word>(state.mem().readWord(ea)));
-    WISC_THREADED_NEXT();
-}
-op_St: {
-    Addr ea = static_cast<Addr>(wrapAdd(WA, WIM));
-    hooks.onMem(ea, 8, true);
-    state.mem().writeWord(ea, static_cast<UWord>(WB));
-    WISC_THREADED_NEXT();
-}
-op_Ld1: {
-    Addr ea = static_cast<Addr>(wrapAdd(WA, WIM));
-    hooks.onMem(ea, 1, false);
-    WWR(static_cast<Word>(state.mem().readByte(ea)));
-    WISC_THREADED_NEXT();
-}
-op_St1: {
-    Addr ea = static_cast<Addr>(wrapAdd(WA, WIM));
-    hooks.onMem(ea, 1, true);
-    state.mem().writeByte(ea, static_cast<std::uint8_t>(WB));
-    WISC_THREADED_NEXT();
-}
-
-op_Br:
-    // The qualifying predicate *is* the branch condition; reaching
-    // this handler means it was TRUE, so the branch is taken.
-    hooks.onBranch(pc, *inst, true);
-    pc = inst->target;
+        hooks.onBranch(WISC_THREADED_PC, *inst, false);
+    ++inst;
     WISC_THREADED_DISPATCH();
-op_Jmp:
-    hooks.onCtrl(pc, *inst, inst->target);
-    pc = inst->target;
-    WISC_THREADED_DISPATCH();
-op_Call:
-    WWR(static_cast<Word>(instAddr(pc + 1)));
-    hooks.onCtrl(pc, *inst, inst->target);
-    pc = inst->target;
-    WISC_THREADED_DISPATCH();
-op_JmpR:
-op_Ret: {
-    Addr t = static_cast<Addr>(WA);
-    // The architectural path never decodes a bad indirect target (the
-    // reference emulator asserts the same); only speculative wrong
-    // paths can, and they never reach a functional engine.
-    wisc_assert(t >= kTextBase && (t - kTextBase) % kInstBytes == 0 &&
-                    addrToIndex(t) < codeSize,
-                "indirect branch to bad target at instruction ", pc);
-    std::uint32_t tgt = static_cast<std::uint32_t>(addrToIndex(t));
-    hooks.onCtrl(pc, *inst, tgt);
-    pc = tgt;
-    WISC_THREADED_DISPATCH();
-}
 
-op_Nop:
-    WISC_THREADED_NEXT();
-op_Halt:
-    res.halted = true;
-    goto out; // pc stays on the Halt, matching the reference emulator
+#define WISC_THREADED_HANDLER(Name, ...)                                  \
+    op_##Name:                                                            \
+    inst = code + exec##Name(p, *inst, WISC_THREADED_PC);                 \
+    if constexpr (Opcode::Name == Opcode::Halt) {                         \
+        halted = true;                                                    \
+        goto out; /* inst stays on the Halt */                            \
+    }                                                                     \
+    WISC_THREADED_DISPATCH();
+    WISC_OPCODES(WISC_THREADED_HANDLER)
+#undef WISC_THREADED_HANDLER
+#undef WISC_THREADED_DISPATCH
 
 out:
-    res.steps = steps;
-    res.predFalse = predFalse;
-    res.nextPc = pc;
-    return res;
-
-#undef WISC_THREADED_DISPATCH
-#undef WISC_THREADED_NEXT
-#undef WA
-#undef WB
-#undef WIM
-#undef WWR
-
-#else // !(__GNUC__ || __clang__): portable fallback over executeInst()
-    while (steps < maxSteps) {
-        wisc_assert(pc < codeSize, "pc ", pc,
-                    " escaped the program (codeSize ", codeSize, ")");
-        const Instruction &in = code[pc];
-        StepResult st = executeInst(in, pc, codeSize, state, nullptr);
-        wisc_assert(!st.badTarget,
-                    "indirect branch to bad target at instruction ", pc);
-        ++steps;
-        hooks.onInst(pc, in, st.qpTrue);
-        if (!st.qpTrue)
-            ++predFalse;
-        if (in.op == Opcode::Br)
-            hooks.onBranch(pc, in, st.taken);
-        else if (st.taken)
-            hooks.onCtrl(pc, in, st.nextIndex);
-        if (st.memSize != 0 && st.qpTrue)
-            hooks.onMem(st.memAddr, st.memSize,
-                        in.op == Opcode::St || in.op == Opcode::St1);
-        if (st.halted) {
-            res.halted = true;
-            break;
-        }
-        pc = st.nextIndex;
-    }
-    res.steps = steps;
-    res.predFalse = predFalse;
-    res.nextPc = pc;
-    return res;
-#endif
+    return {maxSteps - left, predFalse, WISC_THREADED_PC, halted};
+#undef WISC_THREADED_PC
 }
 
 } // namespace wisc

@@ -9,21 +9,6 @@ namespace wisc {
 namespace {
 
 bool
-isCompare(Opcode op)
-{
-    switch (op) {
-      case Opcode::CmpEq: case Opcode::CmpNe: case Opcode::CmpLt:
-      case Opcode::CmpLe: case Opcode::CmpGt: case Opcode::CmpGe:
-      case Opcode::CmpLtU: case Opcode::CmpGeU:
-      case Opcode::CmpEqI: case Opcode::CmpNeI: case Opcode::CmpLtI:
-      case Opcode::CmpLeI: case Opcode::CmpGtI: case Opcode::CmpGeI:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
 isPredOp(Opcode op)
 {
     return op == Opcode::PNot || op == Opcode::PAnd || op == Opcode::POr;

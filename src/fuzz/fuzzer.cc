@@ -205,46 +205,9 @@ checkProgram(const IrFunction &fn, const FuzzOptions &opts)
                                 d.describe()));
             return out;
         }
-
-        // (b) Dispatch differential: the computed-goto threaded engine
-        // (what `emu` just ran, and what sampled simulation fast-forwards
-        // on) must be bit-identical to the reference switch interpreter
-        // — same retire counts and *every* architectural state word.
-        if (opts.checkDispatch) {
-            Emulator sw;
-            EmuResult swRes = sw.run(kv.second.program, nullptr,
-                                     opts.emuMaxSteps,
-                                     EmuDispatch::Switch);
-            ++out.dispatchChecked;
-            if (swRes.halted != res.halted ||
-                swRes.dynInsts != res.dynInsts ||
-                swRes.predFalse != res.predFalse ||
-                swRes.resultReg != res.resultReg ||
-                swRes.memFingerprint != res.memFingerprint) {
-                fail("dispatch-diverge",
-                     detail::format(
-                         variantName(kv.first),
-                         ": switch vs threaded counters: halted ",
-                         swRes.halted, "/", res.halted, ", dynInsts ",
-                         swRes.dynInsts, "/", res.dynInsts,
-                         ", predFalse ", swRes.predFalse, "/",
-                         res.predFalse, ", result ", swRes.resultReg,
-                         "/", res.resultReg, ", memfp ",
-                         swRes.memFingerprint, "/",
-                         res.memFingerprint));
-                return out;
-            }
-            if (StateDiff d = firstStateDiff(sw.state(), emu.state())) {
-                fail("dispatch-diverge",
-                     detail::format(variantName(kv.first),
-                                    ": switch vs threaded state: ",
-                                    d.describe()));
-                return out;
-            }
-        }
     }
 
-    // (c) + (d) Cycle-accurate core across the machine matrix.
+    // (b) + (c) Cycle-accurate core across the machine matrix.
     if (!opts.runCore)
         return out;
     for (const ParamsPoint &pt : opts.matrix) {
@@ -348,7 +311,6 @@ fuzzCampaign(const FuzzOptions &opts, std::ostream *log)
         CheckOutcome c = checkProgram(fn, opts);
         ++rep.programs;
         rep.variantsChecked += c.variantsChecked;
-        rep.dispatchChecked += c.dispatchChecked;
         rep.coreRuns += c.coreRuns;
         if (c.compileReject) {
             ++rep.compileRejects;

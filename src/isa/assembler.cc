@@ -97,58 +97,6 @@ mnemonics()
     return table;
 }
 
-bool
-isAluRRR(Opcode op)
-{
-    switch (op) {
-      case Opcode::Add: case Opcode::Sub: case Opcode::And:
-      case Opcode::Or: case Opcode::Xor: case Opcode::Shl:
-      case Opcode::Shr: case Opcode::Sra: case Opcode::Mul:
-      case Opcode::Div: case Opcode::Rem:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isAluRRI(Opcode op)
-{
-    switch (op) {
-      case Opcode::AddI: case Opcode::AndI: case Opcode::OrI:
-      case Opcode::XorI: case Opcode::ShlI: case Opcode::ShrI:
-      case Opcode::SraI: case Opcode::MulI:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isCmpRR(Opcode op)
-{
-    switch (op) {
-      case Opcode::CmpEq: case Opcode::CmpNe: case Opcode::CmpLt:
-      case Opcode::CmpLe: case Opcode::CmpGt: case Opcode::CmpGe:
-      case Opcode::CmpLtU: case Opcode::CmpGeU:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isCmpRI(Opcode op)
-{
-    switch (op) {
-      case Opcode::CmpEqI: case Opcode::CmpNeI: case Opcode::CmpLtI:
-      case Opcode::CmpLeI: case Opcode::CmpGtI: case Opcode::CmpGeI:
-        return true;
-      default:
-        return false;
-    }
-}
-
 } // namespace
 
 Program
@@ -229,96 +177,91 @@ assemble(const std::string &source)
                 asmError(lineno, "wrong operand count for '" + mnem + "'");
         };
 
-        switch (inst.op) {
-          case Opcode::Br:
+        switch (opForm(inst.op)) {
+          case OpForm::Br:
             // "br pN, label" — condition predicate then target.
             need(2);
             inst.qp = parsePred(ops[0], lineno);
             fixups.push_back({static_cast<std::uint32_t>(prog.size()),
                               ops[1], lineno});
             break;
-          case Opcode::Jmp:
+          case OpForm::Jmp:
             need(1);
             fixups.push_back({static_cast<std::uint32_t>(prog.size()),
                               ops[0], lineno});
             break;
-          case Opcode::Call:
+          case OpForm::Call:
             need(2);
             inst.rd = parseReg(ops[0], lineno);
             fixups.push_back({static_cast<std::uint32_t>(prog.size()),
                               ops[1], lineno});
             break;
-          case Opcode::JmpR:
-          case Opcode::Ret:
+          case OpForm::JmpR:
             need(1);
             inst.rs1 = parseReg(ops[0], lineno);
             break;
-          case Opcode::Li:
+          case OpForm::RI:
             need(2);
             inst.rd = parseReg(ops[0], lineno);
             inst.imm = parseImm(ops[1], lineno);
             break;
-          case Opcode::PSet:
+          case OpForm::PI:
             need(2);
             inst.pd = parsePred(ops[0], lineno);
             inst.imm = parseImm(ops[1], lineno);
             break;
-          case Opcode::PNot:
+          case OpForm::PP:
             need(2);
             inst.pd = parsePred(ops[0], lineno);
             inst.ps = parsePred(ops[1], lineno);
             break;
-          case Opcode::PAnd:
-          case Opcode::POr:
+          case OpForm::PPP:
             need(3);
             inst.pd = parsePred(ops[0], lineno);
             inst.ps = parsePred(ops[1], lineno);
             inst.ps2 = parsePred(ops[2], lineno);
             break;
-          case Opcode::Ld:
-          case Opcode::Ld1:
+          case OpForm::Ld:
             need(3);
             inst.rd = parseReg(ops[0], lineno);
             inst.rs1 = parseReg(ops[1], lineno);
             inst.imm = parseImm(ops[2], lineno);
             break;
-          case Opcode::St:
-          case Opcode::St1:
+          case OpForm::St:
             need(3);
             inst.rs2 = parseReg(ops[0], lineno);
             inst.rs1 = parseReg(ops[1], lineno);
             inst.imm = parseImm(ops[2], lineno);
             break;
-          case Opcode::Nop:
-          case Opcode::Halt:
+          case OpForm::Nop:
+          case OpForm::Halt:
             need(0);
             break;
-          default:
-            if (isAluRRR(inst.op)) {
-                need(3);
-                inst.rd = parseReg(ops[0], lineno);
-                inst.rs1 = parseReg(ops[1], lineno);
-                inst.rs2 = parseReg(ops[2], lineno);
-            } else if (isAluRRI(inst.op)) {
-                need(3);
-                inst.rd = parseReg(ops[0], lineno);
-                inst.rs1 = parseReg(ops[1], lineno);
-                inst.imm = parseImm(ops[2], lineno);
-            } else if (isCmpRR(inst.op)) {
-                need(4);
-                inst.pd = parsePred(ops[0], lineno);
-                inst.pd2 = parsePred(ops[1], lineno);
-                inst.rs1 = parseReg(ops[2], lineno);
-                inst.rs2 = parseReg(ops[3], lineno);
-            } else if (isCmpRI(inst.op)) {
-                need(4);
-                inst.pd = parsePred(ops[0], lineno);
-                inst.pd2 = parsePred(ops[1], lineno);
-                inst.rs1 = parseReg(ops[2], lineno);
-                inst.imm = parseImm(ops[3], lineno);
-            } else {
-                asmError(lineno, "unhandled mnemonic '" + mnem + "'");
-            }
+          case OpForm::RRR:
+            need(3);
+            inst.rd = parseReg(ops[0], lineno);
+            inst.rs1 = parseReg(ops[1], lineno);
+            inst.rs2 = parseReg(ops[2], lineno);
+            break;
+          case OpForm::RRI:
+            need(3);
+            inst.rd = parseReg(ops[0], lineno);
+            inst.rs1 = parseReg(ops[1], lineno);
+            inst.imm = parseImm(ops[2], lineno);
+            break;
+          case OpForm::PRR:
+            need(4);
+            inst.pd = parsePred(ops[0], lineno);
+            inst.pd2 = parsePred(ops[1], lineno);
+            inst.rs1 = parseReg(ops[2], lineno);
+            inst.rs2 = parseReg(ops[3], lineno);
+            break;
+          case OpForm::PRI:
+            need(4);
+            inst.pd = parsePred(ops[0], lineno);
+            inst.pd2 = parsePred(ops[1], lineno);
+            inst.rs1 = parseReg(ops[2], lineno);
+            inst.imm = parseImm(ops[3], lineno);
             break;
         }
 

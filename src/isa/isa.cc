@@ -2,100 +2,11 @@
 
 #include <sstream>
 
-#include "common/log.hh"
-
 namespace wisc {
-
-namespace {
-
-struct OpInfo
-{
-    const char *name;
-    bool writesReg;
-    bool writesPred;
-    bool readsRs1;
-    bool readsRs2;
-    InstrClass cls;
-};
-
-// Indexed by Opcode. Order must match the enum.
-const OpInfo kOpInfo[] = {
-    {"add",     true,  false, true,  true,  InstrClass::IntAlu},
-    {"sub",     true,  false, true,  true,  InstrClass::IntAlu},
-    {"and",     true,  false, true,  true,  InstrClass::IntAlu},
-    {"or",      true,  false, true,  true,  InstrClass::IntAlu},
-    {"xor",     true,  false, true,  true,  InstrClass::IntAlu},
-    {"shl",     true,  false, true,  true,  InstrClass::IntAlu},
-    {"shr",     true,  false, true,  true,  InstrClass::IntAlu},
-    {"sra",     true,  false, true,  true,  InstrClass::IntAlu},
-    {"mul",     true,  false, true,  true,  InstrClass::IntMul},
-    {"div",     true,  false, true,  true,  InstrClass::IntDiv},
-    {"rem",     true,  false, true,  true,  InstrClass::IntDiv},
-    {"addi",    true,  false, true,  false, InstrClass::IntAlu},
-    {"andi",    true,  false, true,  false, InstrClass::IntAlu},
-    {"ori",     true,  false, true,  false, InstrClass::IntAlu},
-    {"xori",    true,  false, true,  false, InstrClass::IntAlu},
-    {"shli",    true,  false, true,  false, InstrClass::IntAlu},
-    {"shri",    true,  false, true,  false, InstrClass::IntAlu},
-    {"srai",    true,  false, true,  false, InstrClass::IntAlu},
-    {"muli",    true,  false, true,  false, InstrClass::IntMul},
-    {"li",      true,  false, false, false, InstrClass::IntAlu},
-    {"cmp.eq",  false, true,  true,  true,  InstrClass::IntAlu},
-    {"cmp.ne",  false, true,  true,  true,  InstrClass::IntAlu},
-    {"cmp.lt",  false, true,  true,  true,  InstrClass::IntAlu},
-    {"cmp.le",  false, true,  true,  true,  InstrClass::IntAlu},
-    {"cmp.gt",  false, true,  true,  true,  InstrClass::IntAlu},
-    {"cmp.ge",  false, true,  true,  true,  InstrClass::IntAlu},
-    {"cmp.ltu", false, true,  true,  true,  InstrClass::IntAlu},
-    {"cmp.geu", false, true,  true,  true,  InstrClass::IntAlu},
-    {"cmpi.eq", false, true,  true,  false, InstrClass::IntAlu},
-    {"cmpi.ne", false, true,  true,  false, InstrClass::IntAlu},
-    {"cmpi.lt", false, true,  true,  false, InstrClass::IntAlu},
-    {"cmpi.le", false, true,  true,  false, InstrClass::IntAlu},
-    {"cmpi.gt", false, true,  true,  false, InstrClass::IntAlu},
-    {"cmpi.ge", false, true,  true,  false, InstrClass::IntAlu},
-    {"pset",    false, true,  false, false, InstrClass::IntAlu},
-    {"pnot",    false, true,  false, false, InstrClass::IntAlu},
-    {"pand",    false, true,  false, false, InstrClass::IntAlu},
-    {"por",     false, true,  false, false, InstrClass::IntAlu},
-    {"ld",      true,  false, true,  false, InstrClass::Load},
-    {"st",      false, false, true,  true,  InstrClass::Store},
-    {"ld1",     true,  false, true,  false, InstrClass::Load},
-    {"st1",     false, false, true,  true,  InstrClass::Store},
-    {"br",      false, false, false, false, InstrClass::Branch},
-    {"jmp",     false, false, false, false, InstrClass::Branch},
-    {"jmpr",    false, false, true,  false, InstrClass::Branch},
-    {"call",    true,  false, false, false, InstrClass::Branch},
-    {"ret",     false, false, true,  false, InstrClass::Branch},
-    {"nop",     false, false, false, false, InstrClass::Other},
-    {"halt",    false, false, false, false, InstrClass::Other},
-};
-
-static_assert(sizeof(kOpInfo) / sizeof(kOpInfo[0]) ==
-                  static_cast<std::size_t>(Opcode::NumOpcodes),
-              "kOpInfo must cover every opcode");
-
-const OpInfo &
-info(Opcode op)
-{
-    auto idx = static_cast<std::size_t>(op);
-    wisc_assert(idx < static_cast<std::size_t>(Opcode::NumOpcodes),
-                "bad opcode ", idx);
-    return kOpInfo[idx];
-}
-
-} // namespace
-
-bool Instruction::writesReg() const { return info(op).writesReg; }
-bool Instruction::writesPred() const { return info(op).writesPred; }
-bool Instruction::readsRs1() const { return info(op).readsRs1; }
-bool Instruction::readsRs2() const { return info(op).readsRs2; }
-InstrClass Instruction::instrClass() const { return info(op).cls; }
 
 std::uint16_t
 predecodeFlags(const Instruction &inst)
 {
-    const OpInfo &i = info(inst.op);
     std::uint16_t f = 0;
     if (inst.isControl())
         f |= kPreCtrl;
@@ -107,34 +18,19 @@ predecodeFlags(const Instruction &inst)
         f |= kPreStore;
     if (inst.isMem())
         f |= kPreMem;
-    if (i.writesReg)
+    if (inst.writesReg())
         f |= kPreWritesReg;
-    if (i.writesPred)
+    if (inst.writesPred())
         f |= kPreWritesPred;
-    if (i.readsRs1)
+    if (inst.readsRs1())
         f |= kPreReadsRs1;
-    if (i.readsRs2)
+    if (inst.readsRs2())
         f |= kPreReadsRs2;
-    switch (inst.op) {
-      case Opcode::CmpEq: case Opcode::CmpNe: case Opcode::CmpLt:
-      case Opcode::CmpLe: case Opcode::CmpGt: case Opcode::CmpGe:
-      case Opcode::CmpLtU: case Opcode::CmpGeU:
-      case Opcode::CmpEqI: case Opcode::CmpNeI: case Opcode::CmpLtI:
-      case Opcode::CmpLeI: case Opcode::CmpGtI: case Opcode::CmpGeI:
+    if (isCompare(inst.op))
         f |= kPreCompare;
-        break;
-      default:
-        break;
-    }
-    if (inst.qp != 0 && i.writesReg && inst.op != Opcode::Br)
+    if (inst.qp != 0 && inst.writesReg() && inst.op != Opcode::Br)
         f |= kPreSelectShape;
     return f;
-}
-
-const char *
-opcodeName(Opcode op)
-{
-    return info(op).name;
 }
 
 const char *
@@ -158,81 +54,66 @@ disassemble(const Instruction &inst)
     if (inst.unc)
         os << "unc.";
 
-    switch (inst.op) {
-      case Opcode::Br:
-        os << (inst.wish == WishKind::None ? "br"
-                                           : wishKindName(inst.wish))
+    const char *name = opcodeName(inst.op);
+    switch (opForm(inst.op)) {
+      case OpForm::Br:
+        os << (inst.wish == WishKind::None ? name : wishKindName(inst.wish))
            << " @" << inst.target;
         break;
-      case Opcode::Jmp:
-        os << "jmp @" << inst.target;
+      case OpForm::Jmp:
+        os << name << " @" << inst.target;
         break;
-      case Opcode::Call:
-        os << "call r" << unsigned(inst.rd) << ", @" << inst.target;
+      case OpForm::Call:
+        os << name << " r" << unsigned(inst.rd) << ", @" << inst.target;
         break;
-      case Opcode::JmpR:
-        os << "jmpr r" << unsigned(inst.rs1);
+      case OpForm::JmpR:
+        os << name << " r" << unsigned(inst.rs1);
         break;
-      case Opcode::Ret:
-        os << "ret r" << unsigned(inst.rs1);
+      case OpForm::RI:
+        os << name << " r" << unsigned(inst.rd) << ", " << inst.imm;
         break;
-      case Opcode::Li:
-        os << "li r" << unsigned(inst.rd) << ", " << inst.imm;
+      case OpForm::PI:
+        os << name << " p" << unsigned(inst.pd) << ", " << (inst.imm & 1);
         break;
-      case Opcode::PSet:
-        os << "pset p" << unsigned(inst.pd) << ", " << (inst.imm & 1);
+      case OpForm::PP:
+        os << name << " p" << unsigned(inst.pd) << ", p" << unsigned(inst.ps);
         break;
-      case Opcode::PNot:
-        os << "pnot p" << unsigned(inst.pd) << ", p" << unsigned(inst.ps);
-        break;
-      case Opcode::PAnd:
-      case Opcode::POr:
-        os << opcodeName(inst.op) << " p" << unsigned(inst.pd) << ", p"
+      case OpForm::PPP:
+        os << name << " p" << unsigned(inst.pd) << ", p"
            << unsigned(inst.ps) << ", p" << unsigned(inst.ps2);
         break;
-      case Opcode::Ld:
-      case Opcode::Ld1:
-        os << opcodeName(inst.op) << " r" << unsigned(inst.rd) << ", [r"
+      case OpForm::Ld:
+        os << name << " r" << unsigned(inst.rd) << ", [r"
            << unsigned(inst.rs1) << (inst.imm >= 0 ? "+" : "") << inst.imm
            << "]";
         break;
-      case Opcode::St:
-      case Opcode::St1:
-        os << opcodeName(inst.op) << " [r" << unsigned(inst.rs1)
+      case OpForm::St:
+        os << name << " [r" << unsigned(inst.rs1)
            << (inst.imm >= 0 ? "+" : "") << inst.imm << "], r"
            << unsigned(inst.rs2);
         break;
-      case Opcode::Nop:
-      case Opcode::Halt:
-        os << opcodeName(inst.op);
+      case OpForm::Nop:
+      case OpForm::Halt:
+        os << name;
         break;
-      default:
-        os << opcodeName(inst.op) << " ";
+      case OpForm::RRR:
+      case OpForm::RRI:
+      case OpForm::PRR:
+      case OpForm::PRI:
+        os << name << " ";
         if (inst.writesPred()) {
             os << "p" << unsigned(inst.pd);
             if (inst.pd2 != kPredNone)
                 os << "/p" << unsigned(inst.pd2);
             os << " = ";
-        } else if (inst.writesReg()) {
+        } else {
             os << "r" << unsigned(inst.rd) << ", ";
         }
-        if (inst.readsRs1())
-            os << "r" << unsigned(inst.rs1);
+        os << "r" << unsigned(inst.rs1);
         if (inst.readsRs2())
             os << ", r" << unsigned(inst.rs2);
-        else if (!inst.writesPred() || !inst.readsRs2())
-            // Immediate forms print the immediate last.
-            switch (inst.op) {
-              case Opcode::AddI: case Opcode::AndI: case Opcode::OrI:
-              case Opcode::XorI: case Opcode::ShlI: case Opcode::ShrI:
-              case Opcode::SraI: case Opcode::MulI:
-              case Opcode::CmpEqI: case Opcode::CmpNeI: case Opcode::CmpLtI:
-              case Opcode::CmpLeI: case Opcode::CmpGtI: case Opcode::CmpGeI:
-                os << ", " << inst.imm;
-                break;
-              default:
-                break;
-            }
+        else
+            os << ", " << inst.imm;
         break;
     }
     return os.str();

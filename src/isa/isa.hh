@@ -18,57 +18,13 @@
 #ifndef WISC_ISA_ISA_HH_
 #define WISC_ISA_ISA_HH_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "common/types.hh"
 
 namespace wisc {
-
-/** Every architectural µop opcode. */
-enum class Opcode : std::uint8_t
-{
-    // Three-register ALU.
-    Add, Sub, And, Or, Xor, Shl, Shr, Sra, Mul, Div, Rem,
-    // Register-immediate ALU.
-    AddI, AndI, OrI, XorI, ShlI, ShrI, SraI, MulI,
-    // Load immediate into a register.
-    Li,
-    // Register-register compares: pd = (rs1 rel rs2), pd2 = !pd (optional).
-    CmpEq, CmpNe, CmpLt, CmpLe, CmpGt, CmpGe, CmpLtU, CmpGeU,
-    // Register-immediate compares.
-    CmpEqI, CmpNeI, CmpLtI, CmpLeI, CmpGtI, CmpGeI,
-    // Predicate-register operations.
-    PSet,   ///< pd = imm & 1
-    PNot,   ///< pd = !ps
-    PAnd,   ///< pd = ps && ps2
-    POr,    ///< pd = ps || ps2
-    // Memory: address = rs1 + imm.
-    Ld,     ///< rd = mem64[rs1 + imm]
-    St,     ///< mem64[rs1 + imm] = rs2
-    Ld1,    ///< rd = zext(mem8[rs1 + imm])
-    St1,    ///< mem8[rs1 + imm] = rs2 & 0xff
-    // Control flow. Br is taken iff its qp is TRUE.
-    Br,     ///< conditional branch (wish hints apply to this opcode only)
-    Jmp,    ///< unconditional direct jump
-    JmpR,   ///< unconditional indirect jump to rs1
-    Call,   ///< rd = return address; jump to target
-    Ret,    ///< indirect jump to rs1 (return)
-    // Miscellaneous.
-    Nop,
-    Halt,
-
-    NumOpcodes
-};
-
-/** Wish-branch hint (the wtype field of Figure 7; None == btype 0). */
-enum class WishKind : std::uint8_t
-{
-    None,   ///< normal conditional branch
-    Jump,   ///< first wish branch of an if-converted region
-    Join,   ///< control-dependent follow-on wish branch
-    Loop,   ///< predicated backward branch
-};
 
 /** Functional-unit class used by the timing model. */
 enum class InstrClass : std::uint8_t
@@ -80,6 +36,141 @@ enum class InstrClass : std::uint8_t
     Store,
     Branch,
     Other,
+};
+
+/**
+ * Operand form of an opcode: which fields it reads and writes, and how
+ * arch/semantics.hh applies its value expression. The letters name the
+ * destination, then the sources: R an integer register, P a predicate
+ * register, I the immediate.
+ */
+enum class OpForm : std::uint8_t
+{
+    RRR,  ///< rd = E(a, b)
+    RRI,  ///< rd = E(a, imm)
+    RI,   ///< rd = E(imm)
+    PRR,  ///< compare: pd = E(a, b), pd2 = !pd
+    PRI,  ///< compare: pd = E(a, imm), pd2 = !pd
+    PI,   ///< pd = E(imm)
+    PP,   ///< pd = E(ps)
+    PPP,  ///< pd = E(ps, ps2)
+    Ld,   ///< rd = mem[a + imm], E bytes, zero-extended
+    St,   ///< mem[a + imm] = b, low E bytes
+    Br,   ///< go to target; taken iff the qp is TRUE
+    Jmp,  ///< go to target
+    Call, ///< rd = return address; go to target
+    JmpR, ///< go to the byte address in a
+    Nop,
+    Halt,
+};
+
+/**
+ * The opcode list: one X(Name, mnemonic, form, class, E) row per opcode,
+ * in encoding order. It generates the Opcode enum and the metadata
+ * below, and arch/semantics.hh generates both execution engines from
+ * it, so each opcode's meaning is written exactly once. E is the value
+ * the opcode computes from its form's operands — a = R[rs1],
+ * b = R[rs2], imm, ps = P[ps], ps2 = P[ps2] — using the arithmetic of
+ * arch/exec_inline.hh; for Ld and St it is the access size in bytes,
+ * and the control forms leave it empty. Reordering rows changes the
+ * encoding, and with it every program fingerprint.
+ */
+#define WISC_OPCODES(X)                                                  \
+    X(Add,    "add",     RRR,  IntAlu, wrapAdd(a, b))                    \
+    X(Sub,    "sub",     RRR,  IntAlu, wrapSub(a, b))                    \
+    X(And,    "and",     RRR,  IntAlu, a & b)                            \
+    X(Or,     "or",      RRR,  IntAlu, a | b)                            \
+    X(Xor,    "xor",     RRR,  IntAlu, a ^ b)                            \
+    X(Shl,    "shl",     RRR,  IntAlu, shiftLeft(a, b))                  \
+    X(Shr,    "shr",     RRR,  IntAlu, shiftRight(a, b))                 \
+    X(Sra,    "sra",     RRR,  IntAlu, shiftRightArith(a, b))            \
+    X(Mul,    "mul",     RRR,  IntMul, wrapMul(a, b))                    \
+    X(Div,    "div",     RRR,  IntDiv, safeDiv(a, b))                    \
+    X(Rem,    "rem",     RRR,  IntDiv, safeRem(a, b))                    \
+    X(AddI,   "addi",    RRI,  IntAlu, wrapAdd(a, imm))                  \
+    X(AndI,   "andi",    RRI,  IntAlu, a & imm)                          \
+    X(OrI,    "ori",     RRI,  IntAlu, a | imm)                          \
+    X(XorI,   "xori",    RRI,  IntAlu, a ^ imm)                          \
+    X(ShlI,   "shli",    RRI,  IntAlu, shiftLeft(a, imm))                \
+    X(ShrI,   "shri",    RRI,  IntAlu, shiftRight(a, imm))               \
+    X(SraI,   "srai",    RRI,  IntAlu, shiftRightArith(a, imm))          \
+    X(MulI,   "muli",    RRI,  IntMul, wrapMul(a, imm))                  \
+    X(Li,     "li",      RI,   IntAlu, imm)                              \
+    X(CmpEq,  "cmp.eq",  PRR,  IntAlu, a == b)                           \
+    X(CmpNe,  "cmp.ne",  PRR,  IntAlu, a != b)                           \
+    X(CmpLt,  "cmp.lt",  PRR,  IntAlu, a < b)                            \
+    X(CmpLe,  "cmp.le",  PRR,  IntAlu, a <= b)                           \
+    X(CmpGt,  "cmp.gt",  PRR,  IntAlu, a > b)                            \
+    X(CmpGe,  "cmp.ge",  PRR,  IntAlu, a >= b)                           \
+    X(CmpLtU, "cmp.ltu", PRR,  IntAlu, UWord(a) < UWord(b))              \
+    X(CmpGeU, "cmp.geu", PRR,  IntAlu, UWord(a) >= UWord(b))             \
+    X(CmpEqI, "cmpi.eq", PRI,  IntAlu, a == imm)                         \
+    X(CmpNeI, "cmpi.ne", PRI,  IntAlu, a != imm)                         \
+    X(CmpLtI, "cmpi.lt", PRI,  IntAlu, a < imm)                          \
+    X(CmpLeI, "cmpi.le", PRI,  IntAlu, a <= imm)                         \
+    X(CmpGtI, "cmpi.gt", PRI,  IntAlu, a > imm)                          \
+    X(CmpGeI, "cmpi.ge", PRI,  IntAlu, a >= imm)                         \
+    X(PSet,   "pset",    PI,   IntAlu, (imm & 1) != 0)                   \
+    X(PNot,   "pnot",    PP,   IntAlu, !ps)                              \
+    X(PAnd,   "pand",    PPP,  IntAlu, ps && ps2)                        \
+    X(POr,    "por",     PPP,  IntAlu, ps || ps2)                        \
+    X(Ld,     "ld",      Ld,   Load,   8)                                \
+    X(St,     "st",      St,   Store,  8)                                \
+    X(Ld1,    "ld1",     Ld,   Load,   1)                                \
+    X(St1,    "st1",     St,   Store,  1)                                \
+    X(Br,     "br",      Br,   Branch, )                                 \
+    X(Jmp,    "jmp",     Jmp,  Branch, )                                 \
+    X(JmpR,   "jmpr",    JmpR, Branch, )                                 \
+    X(Call,   "call",    Call, Branch, )                                 \
+    X(Ret,    "ret",     JmpR, Branch, )                                 \
+    X(Nop,    "nop",     Nop,  Other,  )                                 \
+    X(Halt,   "halt",    Halt, Other,  )
+
+/** Every architectural µop opcode. Br is the conditional branch (the
+ *  only opcode wish hints apply to); Ret is JmpR marked as a return. */
+enum class Opcode : std::uint8_t
+{
+#define WISC_OPCODE_ENUM(Name, ...) Name,
+    WISC_OPCODES(WISC_OPCODE_ENUM)
+#undef WISC_OPCODE_ENUM
+    NumOpcodes
+};
+
+/** Static properties of one opcode, generated from WISC_OPCODES. */
+struct OpInfo
+{
+    const char *name; ///< mnemonic ("add", "cmp.lt", ...)
+    OpForm form;
+    InstrClass cls;
+};
+
+inline constexpr OpInfo kOpInfo[] = {
+#define WISC_OPCODE_INFO(Name, Mnem, Form, Cls, E)                       \
+    {Mnem, OpForm::Form, InstrClass::Cls},
+    WISC_OPCODES(WISC_OPCODE_INFO)
+#undef WISC_OPCODE_INFO
+};
+
+constexpr OpForm
+opForm(Opcode op)
+{
+    return kOpInfo[static_cast<std::size_t>(op)].form;
+}
+
+/** True iff the opcode is an integer compare (writes pd and pd2). */
+constexpr bool
+isCompare(Opcode op)
+{
+    return opForm(op) == OpForm::PRR || opForm(op) == OpForm::PRI;
+}
+
+/** Wish-branch hint (the wtype field of Figure 7; None == btype 0). */
+enum class WishKind : std::uint8_t
+{
+    None,   ///< normal conditional branch
+    Jump,   ///< first wish branch of an if-converted region
+    Join,   ///< control-dependent follow-on wish branch
+    Loop,   ///< predicated backward branch
 };
 
 /** Sentinel predicate destination meaning "no predicate written". Writing
@@ -141,15 +232,42 @@ struct Instruction
     }
 
     /** True iff this opcode writes an integer register when qp is TRUE. */
-    bool writesReg() const;
+    bool
+    writesReg() const
+    {
+        const OpForm f = opForm(op);
+        return f == OpForm::RRR || f == OpForm::RRI || f == OpForm::RI ||
+               f == OpForm::Ld || f == OpForm::Call;
+    }
     /** True iff this opcode writes one or two predicate registers. */
-    bool writesPred() const;
+    bool
+    writesPred() const
+    {
+        const OpForm f = opForm(op);
+        return isCompare(op) || f == OpForm::PI || f == OpForm::PP ||
+               f == OpForm::PPP;
+    }
     /** True iff rs1 is a live source for this opcode. */
-    bool readsRs1() const;
+    bool
+    readsRs1() const
+    {
+        const OpForm f = opForm(op);
+        return f == OpForm::RRR || f == OpForm::RRI || isCompare(op) ||
+               f == OpForm::Ld || f == OpForm::St || f == OpForm::JmpR;
+    }
     /** True iff rs2 is a live source for this opcode. */
-    bool readsRs2() const;
+    bool
+    readsRs2() const
+    {
+        const OpForm f = opForm(op);
+        return f == OpForm::RRR || f == OpForm::PRR || f == OpForm::St;
+    }
     /** Functional-unit class for the timing model. */
-    InstrClass instrClass() const;
+    InstrClass
+    instrClass() const
+    {
+        return kOpInfo[static_cast<std::size_t>(op)].cls;
+    }
 };
 
 /**
@@ -181,7 +299,11 @@ enum PreFlag : std::uint16_t
 std::uint16_t predecodeFlags(const Instruction &inst);
 
 /** Mnemonic for an opcode ("add", "cmp.lt", ...). */
-const char *opcodeName(Opcode op);
+constexpr const char *
+opcodeName(Opcode op)
+{
+    return kOpInfo[static_cast<std::size_t>(op)].name;
+}
 
 /** Mnemonic suffix for a wish kind ("", "wish.jump", ...). */
 const char *wishKindName(WishKind w);

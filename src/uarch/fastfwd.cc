@@ -31,7 +31,7 @@ struct WarmHooks
         // the mode-exit "target fetched" check per instruction, plus
         // the predicate buffer's complement map and write invalidation.
         wish.onInstructionFetched(pc);
-        if (in.op >= Opcode::CmpEq && in.op <= Opcode::CmpGeI)
+        if (isCompare(in.op))
             wish.noteCompare(in.pd, in.pd2);
         if (in.writesPred()) {
             wish.notePredWrite(in.pd);

@@ -1,13 +1,17 @@
 /**
  * @file
- * Golden semantic tests for every WISC ALU/compare opcode, plus
- * randomized cross-checks of wrapping arithmetic against host-side
- * reference computations.
+ * Golden semantic tests for every WISC ALU/compare opcode, randomized
+ * cross-checks of wrapping arithmetic against host-side reference
+ * computations, and a per-opcode differential between the two
+ * instantiations of arch/semantics.hh (executeInst and threadedRun),
+ * including undo rollback.
  */
 
 #include <gtest/gtest.h>
 
 #include "arch/executor.hh"
+#include "arch/state_diff.hh"
+#include "arch/threaded.hh"
 #include "common/rng.hh"
 
 namespace wisc {
@@ -221,6 +225,111 @@ TEST(ExecutorSemantics, EffectiveAddressReported)
     StepResult r = executeInst(ld, 0, 4, s, nullptr);
     EXPECT_EQ(r.memAddr, 0xFF0u);
     EXPECT_EQ(r.memSize, 8);
+}
+
+// ------------------------------------------- per-opcode engine differential
+
+/** Deterministic random state for 'inst': every register and
+ *  predicate, the memory word a memory op reaches through r6 + 8, and
+ *  a valid target in r6 for a register-indirect jump. */
+void
+seedState(ArchState &s, const Instruction &inst, std::uint64_t seed, bool qp)
+{
+    Rng rng(seed);
+    s.reset();
+    for (unsigned r = 1; r < kNumIntRegs; ++r)
+        s.writeReg(static_cast<RegIdx>(r), static_cast<Word>(rng.next()));
+    for (unsigned p = 1; p < kNumPredRegs; ++p)
+        s.writePred(static_cast<PredIdx>(p), rng.below(2) != 0);
+    s.writePred(inst.qp, qp);
+    const Addr base = 0x40000 + rng.below(4096);
+    s.writeReg(6, static_cast<Word>(inst.isIndirect() ? instAddr(2) : base));
+    s.mem().writeWord(base + 8, rng.next());
+}
+
+void
+expectSamePreds(const ArchState &want, const ArchState &got)
+{
+    for (unsigned p = 0; p < kNumPredRegs; ++p)
+        EXPECT_EQ(want.readPred(static_cast<PredIdx>(p)),
+                  got.readPred(static_cast<PredIdx>(p)))
+            << "p" << p;
+}
+
+/** Records the threaded engine's memory observations. */
+struct MemHooks : NullExecHooks
+{
+    Addr ea = 0;
+    unsigned size = 0;
+    void onMem(Addr a, unsigned n, bool) { ea = a, size = n; }
+};
+
+TEST(ExecutorSemantics, EveryOpcodeSameOnBothEnginesAndRollsBack)
+{
+    for (unsigned o = 0; o < static_cast<unsigned>(Opcode::NumOpcodes); ++o) {
+        const Opcode op = static_cast<Opcode>(o);
+        struct Case { bool qp, unc; };
+        for (Case c : {Case{true, false}, Case{false, false},
+                       Case{false, true}}) {
+            Instruction inst;
+            inst.op = op;
+            if (c.unc && !inst.writesPred())
+                continue;
+            SCOPED_TRACE(::testing::Message()
+                         << opcodeName(op) << " qp=" << c.qp
+                         << " unc=" << c.unc);
+            const std::uint64_t seed = 1000 + o;
+            inst.qp = 1;
+            inst.unc = c.unc;
+            inst.rd = 5;
+            inst.rs1 = 6;
+            inst.rs2 = 7;
+            inst.pd = 2;
+            inst.pd2 = 3;
+            inst.ps = 4;
+            inst.ps2 = 5;
+            inst.imm = inst.isMem() ? 8 : Rng(seed).range(-70, 70);
+            inst.target = 2; // taken control skips the first Halt
+
+            // The instruction, then two Halts: a taken control transfer
+            // (register-indirect ones too, see seedState) stops on the
+            // second, a fall-through on the first.
+            Program prog;
+            prog.append(inst);
+            Instruction halt;
+            halt.op = Opcode::Halt;
+            prog.append(halt);
+            prog.append(halt);
+
+            ArchState viaCore;
+            seedState(viaCore, inst, seed, c.qp);
+            UndoLog log;
+            const UndoLog::Mark m = log.mark();
+            const StepResult r = executeInst(inst, 0, 3, viaCore, &log);
+
+            ArchState viaThreaded;
+            seedState(viaThreaded, inst, seed, c.qp);
+            MemHooks hooks;
+            const ThreadedResult t = threadedRun(prog, viaThreaded, 0, 2,
+                                                 hooks);
+
+            EXPECT_FALSE(firstStateDiff(viaCore, viaThreaded));
+            expectSamePreds(viaCore, viaThreaded);
+            EXPECT_EQ(r.qpTrue, c.qp);
+            EXPECT_EQ(t.predFalse, c.qp ? 0u : 1u);
+            EXPECT_TRUE(t.halted);
+            EXPECT_EQ(t.steps, r.halted ? 1u : 2u);
+            EXPECT_EQ(t.nextPc, r.nextIndex);
+            EXPECT_EQ(hooks.size, r.memSize);
+            EXPECT_EQ(hooks.ea, r.memSize ? r.memAddr : 0);
+
+            log.rollbackTo(m, viaCore);
+            ArchState pre;
+            seedState(pre, inst, seed, c.qp);
+            EXPECT_FALSE(firstStateDiff(pre, viaCore));
+            expectSamePreds(pre, viaCore);
+        }
+    }
 }
 
 } // namespace

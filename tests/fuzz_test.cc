@@ -391,25 +391,6 @@ TEST(FuzzCampaign, FailurePathShrinksAndWritesReproducer)
     }
 }
 
-TEST(FuzzCampaign, DispatchDifferentialCoversEveryVariant)
-{
-    // The switch-vs-threaded cross-check runs once per variant
-    // emulation by default, and --no-dispatch turns it off entirely.
-    FuzzOptions opts;
-    opts.seed = 11;
-    opts.runs = 5;
-    opts.runCore = false;
-    FuzzReport rep = fuzzCampaign(opts);
-    EXPECT_TRUE(rep.ok());
-    EXPECT_GT(rep.dispatchChecked, 0u);
-    EXPECT_EQ(rep.dispatchChecked, rep.variantsChecked);
-
-    opts.checkDispatch = false;
-    FuzzReport off = fuzzCampaign(opts);
-    EXPECT_TRUE(off.ok());
-    EXPECT_EQ(off.dispatchChecked, 0u);
-}
-
 TEST(FuzzCampaign, AttributionInvariantChecked)
 {
     // The smoke matrix carries collectAttribution points; a clean pass

@@ -1,9 +1,9 @@
 /**
  * @file
- * Step-budget and dispatch-engine regression tests for the functional
+ * Step-budget and dispatch regression tests for the functional
  * execution layer: threadedRun() budget semantics (zero budget, exact
- * stop at the budget, resumable legs via nextPc), switch-vs-threaded
- * architectural equality, and the fast-forward engine's monotone
+ * stop at the budget, resumable legs via nextPc), equality with a plain
+ * executeInst() loop, and the fast-forward engine's monotone
  * advanceTo() contract. The sampled runner's window arithmetic caps
  * every position at Emulator::kDefaultMaxSteps and assumes a leg never
  * overshoots its target by even one instruction — these tests pin that
@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/emulator.hh"
+#include "arch/executor.hh"
 #include "arch/state_diff.hh"
 #include "arch/threaded.hh"
 #include "isa/assembler.hh"
@@ -41,16 +42,57 @@ loopProgram()
     )");
 }
 
-/** Dynamic instructions to Halt, measured once with the reference
- *  switch interpreter. */
+/**
+ * The reference the threaded engine is diffed against: one executeInst()
+ * per step, with the budget, halt and nextPc rules written out again.
+ */
+ThreadedResult
+referenceRun(const Program &p, ArchState &s, std::uint64_t budget)
+{
+    s.reset();
+    s.loadData(p);
+    ThreadedResult r;
+    r.nextPc = p.entry();
+    const auto n = static_cast<std::uint32_t>(p.size());
+    while (r.steps < budget && !r.halted) {
+        const StepResult st = executeInst(p.code()[r.nextPc], r.nextPc, n,
+                                          s, nullptr);
+        EXPECT_FALSE(st.badTarget);
+        ++r.steps;
+        r.predFalse += st.qpTrue ? 0 : 1;
+        r.halted = st.halted;
+        r.nextPc = st.nextIndex;
+    }
+    return r;
+}
+
+/** Dynamic instructions to Halt, measured with the reference loop. */
 std::uint64_t
 haltSteps(const Program &p)
 {
-    Emulator emu;
-    EmuResult r =
-        emu.run(p, nullptr, Emulator::kDefaultMaxSteps, EmuDispatch::Switch);
+    ArchState s;
+    ThreadedResult r = referenceRun(p, s, Emulator::kDefaultMaxSteps);
     EXPECT_TRUE(r.halted);
-    return r.dynInsts;
+    return r.steps;
+}
+
+/** threadedRun against the reference loop under the same budget: the
+ *  counts, the resume point and every architectural state word must
+ *  agree. */
+void
+expectThreadedMatchesReference(const Program &p, std::uint64_t budget)
+{
+    ArchState ref, th;
+    const ThreadedResult a = referenceRun(p, ref, budget);
+    th.reset();
+    th.loadData(p);
+    const ThreadedResult b =
+        threadedRun(p, th, p.entry(), budget, NullExecHooks{});
+    EXPECT_EQ(a.steps, b.steps);
+    EXPECT_EQ(a.predFalse, b.predFalse);
+    EXPECT_EQ(a.halted, b.halted);
+    EXPECT_EQ(a.nextPc, b.nextPc);
+    EXPECT_FALSE(firstStateDiff(ref, th));
 }
 
 // ------------------------------------------------------------ step budgets
@@ -139,60 +181,31 @@ TEST(ThreadedBudget, ResumedLegsMatchUninterruptedRun)
 
 TEST(DispatchEquality, SwitchAndThreadedBitIdenticalOnLoop)
 {
-    Program p = loopProgram();
-    Emulator sw, th;
-    EmuResult a =
-        sw.run(p, nullptr, Emulator::kDefaultMaxSteps, EmuDispatch::Switch);
-    EmuResult b = th.run(p, nullptr, Emulator::kDefaultMaxSteps,
-                         EmuDispatch::Threaded);
-    EXPECT_EQ(a.halted, b.halted);
-    EXPECT_EQ(a.dynInsts, b.dynInsts);
-    EXPECT_EQ(a.predFalse, b.predFalse);
-    EXPECT_EQ(a.resultReg, b.resultReg);
-    EXPECT_EQ(a.memFingerprint, b.memFingerprint);
-    EXPECT_FALSE(firstStateDiff(sw.state(), th.state()));
+    expectThreadedMatchesReference(loopProgram(), Emulator::kDefaultMaxSteps);
 }
 
 TEST(DispatchEquality, BudgetLimitedLegsAgreeAcrossEngines)
 {
-    // Under a budget that lands mid-loop, both engines must stop at
-    // the same instruction with the same partial state.
+    // Under a budget that lands mid-loop, both loops must stop at the
+    // same instruction with the same partial state.
     Program p = loopProgram();
     const std::uint64_t h = haltSteps(p);
     for (std::uint64_t budget : {h / 3, h - 1}) {
-        Emulator sw, th;
-        EmuResult a = sw.run(p, nullptr, budget, EmuDispatch::Switch);
-        EmuResult b = th.run(p, nullptr, budget, EmuDispatch::Threaded);
-        EXPECT_FALSE(a.halted);
-        EXPECT_FALSE(b.halted);
-        EXPECT_EQ(a.dynInsts, b.dynInsts) << "budget " << budget;
-        EXPECT_EQ(a.predFalse, b.predFalse) << "budget " << budget;
-        EXPECT_FALSE(firstStateDiff(sw.state(), th.state()))
-            << "budget " << budget;
+        SCOPED_TRACE(budget);
+        expectThreadedMatchesReference(p, budget);
     }
 }
 
 TEST(DispatchEquality, WorkloadVariantsMatchAcrossEngines)
 {
     // A real kernel in its branchy and fully wish-converted forms:
-    // every opcode class the compiler emits flows through both
-    // engines, and the final state must agree word for word.
+    // every opcode class the compiler emits flows through both loops,
+    // and the final state must agree word for word.
     CompiledWorkload w = compileWorkload("gzip");
     for (BinaryVariant v :
-         {BinaryVariant::Normal, BinaryVariant::WishJumpJoinLoop}) {
-        Program p = programFor(w, v, InputSet::A);
-        Emulator sw, th;
-        EmuResult a = sw.run(p, nullptr, Emulator::kDefaultMaxSteps,
-                             EmuDispatch::Switch);
-        EmuResult b = th.run(p, nullptr, Emulator::kDefaultMaxSteps,
-                             EmuDispatch::Threaded);
-        ASSERT_TRUE(a.halted);
-        EXPECT_EQ(a.dynInsts, b.dynInsts);
-        EXPECT_EQ(a.predFalse, b.predFalse);
-        EXPECT_EQ(a.resultReg, b.resultReg);
-        EXPECT_EQ(a.memFingerprint, b.memFingerprint);
-        EXPECT_FALSE(firstStateDiff(sw.state(), th.state()));
-    }
+         {BinaryVariant::Normal, BinaryVariant::WishJumpJoinLoop})
+        expectThreadedMatchesReference(programFor(w, v, InputSet::A),
+                                       Emulator::kDefaultMaxSteps);
 }
 
 // -------------------------------------------------- fast-forward contract
