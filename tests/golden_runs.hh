@@ -5,8 +5,10 @@
  * golden_stats_data.inc were captured from this exact matrix on the
  * seed (poll-scheduler) core; the test proves the event-driven
  * scheduler and DynInst layout rewrite left every counter and histogram
- * bit-identical. Regenerate with the golden_stats_gen tool after an
- * *intentional* timing-model change:
+ * bit-identical. The two sampled rows were captured later, from the
+ * fast-forward engine that still restated the core's branch rules, so
+ * they prove the core warms itself bit-identically. Regenerate with the
+ * golden_stats_gen tool after an *intentional* timing-model change:
  *
  *   build/tests/golden_stats_gen > tests/golden_stats_data.inc
  */
@@ -33,7 +35,10 @@ struct GoldenRunSpec
 
 /** One run per binary *type* (normal branch / predicated / wish), plus
  *  the select-µop machine and a small-window machine for config
- *  coverage. */
+ *  coverage, plus two sampled runs that pin the fast-forward warming:
+ *  the default machine with attribution on (a fast-forward checkpoint
+ *  carries no attribution shadow) and a TAGE machine with TAGE
+ *  confidence. */
 inline std::vector<GoldenRunSpec>
 goldenRuns()
 {
@@ -47,6 +52,22 @@ goldenRuns()
     smallWindow.iqSize = 32;
     smallWindow.lsqSize = 64;
 
+    // No detailed prefix, so every counter comes from the windows that
+    // restore fast-forward checkpoints.
+    SimParams sampled = def;
+    sampled.sampling.enabled = true;
+    sampled.sampling.periodUops = 40'000;
+    sampled.sampling.warmupUops = 2'000;
+    sampled.sampling.measureUops = 8'000;
+    sampled.sampling.prefixUops = 0;
+
+    SimParams sampledAttrib = sampled;
+    sampledAttrib.collectAttribution = true;
+
+    SimParams sampledTage = sampled;
+    sampledTage.predictor = PredictorKind::Tage;
+    sampledTage.confKind = ConfKind::Tage;
+
     return {
         {"normal", "gzip", BinaryVariant::Normal, InputSet::A, def},
         {"base-max", "gzip", BinaryVariant::BaseMax, InputSet::A, def},
@@ -56,6 +77,10 @@ goldenRuns()
          InputSet::A, selectUop},
         {"wish-jjl-win128", "gzip", BinaryVariant::WishJumpJoinLoop,
          InputSet::A, smallWindow},
+        {"sampled-attrib", "gzip", BinaryVariant::WishJumpJoinLoop,
+         InputSet::A, sampledAttrib},
+        {"sampled-tage", "gzip", BinaryVariant::WishJumpJoinLoop,
+         InputSet::A, sampledTage},
     };
 }
 
