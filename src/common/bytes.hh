@@ -6,9 +6,9 @@
  * carries *history* — architectural registers and memory, cache tags,
  * predictor tables, return-address stack — written as one append-only
  * byte stream and read back in the same order. The format is private
- * to a single process run (checkpoints move between a FastForward
- * engine and a Core, or between two Cores in a round-trip test; they
- * are never written to disk), so structs may be copied raw; scalars
+ * to a single process run (checkpoints move from one Core, detailed or
+ * fast-forwarding, into another; they are never written to disk), so
+ * structs may be copied raw; scalars
  * still go through explicit little-endian accessors so saves and
  * restores cannot disagree on width.
  *

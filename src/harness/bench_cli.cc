@@ -37,12 +37,6 @@ constexpr FlagDesc kFlags[] = {
     {"--no-cache", nullptr,
      "ignore WISC_CACHE_DIR and any compiled-in default", nullptr,
      &OutputSpec::noCache},
-    {"--cpi-stack", nullptr,
-     "collect the attrib.* cycle-attribution counters (CPI stack)",
-     nullptr, &OutputSpec::cpiStack},
-    {"--branch-profile", nullptr,
-     "collect the per-static-branch core.branch_profile table", nullptr,
-     &OutputSpec::branchProfile},
 };
 
 void

@@ -11,8 +11,6 @@
  *   --cache DIR       persistent run cache (fallback: WISC_CACHE_DIR,
  *                     then the compiled-in -DWISC_CACHE_DEFAULT_DIR)
  *   --no-cache        disable the persistent layer entirely
- *   --cpi-stack       collect the attrib.* cycle-attribution CPI stack
- *   --branch-profile  collect the per-static-branch profile table
  *
  * Every bench binary prints its paper-style table to stdout exactly as
  * before; on top of that, a JSON destination writes a structured
@@ -55,32 +53,19 @@ namespace wisc {
 
 /**
  * Everything the bench command line says about *outputs*: where the
- * JSON goes, how runs are cached, and which optional observability
- * sections to collect. Parsed in exactly one place (parse()), from the
- * same flag table that renders `--help`.
+ * JSON goes and how runs are cached. Parsed in exactly one place
+ * (parse()), from the same flag table that renders `--help`.
  */
 struct OutputSpec
 {
     std::string jsonPath;  ///< --json / WISC_RESULTS_JSON ("" = none)
     std::string cacheDir;  ///< --cache (before env/default resolution)
     bool noCache = false;  ///< --no-cache: kill the persistent layer
-    bool cpiStack = false; ///< --cpi-stack: attrib.* CPI stack
-    bool branchProfile = false; ///< --branch-profile: per-PC table
 
     /** Parse argv (env fallbacks applied); prints usage and exits on
-     *  --help or an unknown flag. */
+     *  --help (0) or an unknown flag (2). */
     static OutputSpec parse(int argc, char **argv,
                             const std::string &name);
-
-    /** Turn the observability requests into SimParams knobs. */
-    void
-    applyObservation(SimParams &p) const
-    {
-        if (cpiStack)
-            p.collectAttribution = true;
-        if (branchProfile)
-            p.collectBranchProfile = true;
-    }
 };
 
 class BenchCli

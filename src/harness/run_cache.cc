@@ -1,7 +1,6 @@
 #include "harness/run_cache.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -335,13 +334,7 @@ RunService::entryPath(const RunKey &key) const
 RunService &
 RunService::global()
 {
-    static RunService *service = [] {
-        auto *s = new RunService; // pass-through until opted in
-        if (const char *env = std::getenv("WISC_CACHE_DIR"))
-            if (*env)
-                s->setCacheDir(env);
-        return s;
-    }();
+    static RunService *service = new RunService; // pass-through
     return *service;
 }
 

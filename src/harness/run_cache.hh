@@ -110,10 +110,12 @@ class RunService
      *  persistent layer is off). Exposed for tests and tooling. */
     std::string entryPath(const RunKey &key) const;
 
-    /** The process-wide service behind run(RunRequest).
-     *  Constructed on first use; picks up WISC_CACHE_DIR from the
-     *  environment (memoization stays off until something — normally
-     *  BenchCli — turns it on). */
+    /** The process-wide service behind run(RunRequest). Constructed
+     *  on first use as a pure pass-through: no memoization and no
+     *  persistent layer until something — normally BenchCli, which
+     *  alone resolves --cache / WISC_CACHE_DIR — turns them on. The
+     *  environment is not read here, so tests and tools that call
+     *  run() directly always simulate. */
     static RunService &global();
 
   private:

@@ -55,14 +55,11 @@ runSampled(const Program &prog, const SimParams &params)
                     !params.oracle.noFetch,
                 "sampled simulation requires the C-style predication "
                 "mechanism without the NO-FETCH oracle");
-    // MergePoint dynamic predication is guarded off: the warm-state
-    // checkpoints come from the *functional* fast-forward engine, which
-    // replays no timing and therefore cannot learn the merge-point
-    // table a mid-stream core restore would need (FetchGate is fine —
-    // fetch gating is pure timing with no warm state of its own).
-    wisc_assert(params.dynPred != DynPredMode::MergePoint,
-                "sampled simulation cannot fast-forward the "
-                "merge-point table; use dynPred=Off or FetchGate");
+    // Dynamic predication: FetchGate warms like everything else, since
+    // the fast-forward runs the core's own branch rules (its estimator
+    // trains on every normal branch). MergePoint is rejected when the
+    // fast-forward starts: the merge-point table learns from the
+    // timing path's retired stream, which a functional run lacks.
 
     // The window cores and the fast-forward engine must agree on the
     // params fingerprint (the checkpoint guard), so both get the same

@@ -180,13 +180,6 @@ Btb::insert(std::uint32_t pc, std::uint32_t target, WishKind wish,
     victim->lastUse = useClock_;
 }
 
-void
-Btb::reset()
-{
-    entries_.assign(entries_.size(), BtbEntry{});
-    useClock_ = 0;
-}
-
 ReturnAddressStack::ReturnAddressStack(unsigned entries)
     : stack_(entries, 0), tos_(entries - 1)
 {

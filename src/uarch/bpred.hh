@@ -84,7 +84,6 @@ class Btb
     const BtbEntry *lookup(std::uint32_t pc);
     void insert(std::uint32_t pc, std::uint32_t target, WishKind wish,
                 bool isConditional);
-    void reset();
 
     void saveState(ByteWriter &w) const;
     void restoreState(ByteReader &r);

@@ -203,13 +203,4 @@ MemorySystem::l1dHitLatency() const
     return dl1_.hitLatency();
 }
 
-void
-MemorySystem::reset()
-{
-    il1_.reset();
-    dl1_.reset();
-    l2_.reset();
-    fillsInFlight_.clear();
-}
-
 } // namespace wisc

@@ -38,7 +38,7 @@ class Cache
     /** Probe without allocating or touching LRU state. */
     bool probe(Addr addr) const;
 
-    /** Invalidate everything (used between benchmark runs). */
+    /** Invalidate everything. */
     void reset();
 
     /** Serialize tag/LRU state for a warm-state checkpoint. */
@@ -110,8 +110,6 @@ class MemorySystem
     void restoreState(ByteReader &r);
 
     unsigned l1dHitLatency() const;
-
-    void reset();
 
   private:
     SimParams params_;

@@ -25,6 +25,10 @@
  * whose µop is no longer in the ROB as "complete" — the tables are
  * inert and are simply reset on restore.
  *
+ * Every checkpoint is written by Core::checkpoint(): of a detailed core
+ * drained by advance(), or of a core that only fast-forwarded
+ * (uarch/fastfwd.hh), whose clock and allocators are still at reset.
+ *
  * The blob is an in-process byte buffer (common/bytes.hh), never
  * persisted to disk; fingerprints guard against restoring into a core
  * with a different machine configuration or program image.
@@ -57,14 +61,14 @@ struct CoreCheckpoint
     SeqNum nextSeq = 1;
     std::uint64_t nextUid = 1;
 
-    /** The serialized substrate: ArchState, MemorySystem, predictor,
-     *  confidence, BTB, RAS, ITC, wish engine (when hasWish), and the
+    /** The serialized substrate, written by Core::checkpoint() and read
+     *  by Core::beginRun(prog, ckpt) — the one walk: ArchState,
+     *  MemorySystem, predictor, confidence, BTB, RAS, ITC, wish engine,
+     *  the merge-point table (MergePoint machines only), and the
      *  attribution shadow (when hasAttribShadow). */
     ByteBuffer bytes;
-    /** The wish-engine section is present (checkpoints produced by the
-     *  functional fast-forward engine cold-start it instead). */
-    bool hasWish = false;
-    /** The attribution flush-shadow section is present. */
+    /** The attribution flush-shadow section is present (never in a
+     *  fast-forward checkpoint). */
     bool hasAttribShadow = false;
 
     /** Guards: a checkpoint only restores into a core built from

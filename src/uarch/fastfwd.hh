@@ -1,39 +1,29 @@
 /**
  * @file
- * Functional fast-forward engine for sampled simulation (SMARTS-style,
+ * Functional fast-forward for sampled simulation (SMARTS-style,
  * DESIGN.md: sampling).
  *
- * Drives the threaded-code functional engine (arch/threaded.hh) over
- * the architectural path while continuously warming the long-history
- * µarchitectural structures a detailed window depends on: data caches
- * (tag/LRU only, via MemorySystem::warmLoad/warmStore — no fill-timing
- * bookkeeping, so checkpoints carry an empty fill ledger and a zero
- * cycle clock), the direction predictor, the confidence estimator, the
- * BTB, the return address stack, and the indirect target cache.
- * Warming mirrors what the core's correct path does: per conditional
- * branch predict → wish decision → shift the *effective* outcome →
- * train against the fetch-time checkpoint; per control transfer the
- * BTB/RAS/ITC updates of processControl()/stageRetire().
+ * A thin owner of a Core that only fast-forwards (Core::fastForward):
+ * the threaded-code functional engine runs over the core's own
+ * architectural state, and every branch and control transfer goes
+ * through the core's own front-end, recovery and retire rules, so the
+ * direction predictor, confidence estimator, BTB, RAS, indirect target
+ * cache, wish engine and cache tags warm exactly as the core's correct
+ * path trains them. That includes the core's *history convention*: a
+ * correctly predicated low-confidence wish branch never flushes, so its
+ * history bit stays the effective (fall-through) direction even when
+ * the branch was taken, and the warmed tables are indexed under the
+ * histories the core produces.
  *
- * The wish decision is replicated, not skipped, because it decides the
- * machine's *history convention*: the core shifts the effective
- * direction into the global history and only repairs it when a flush
- * recovers the predictor — a correctly-predicated low-confidence wish
- * branch never flushes, so its history bit stays the effective (fall
- * through) direction even when the branch was architecturally taken.
- * Warming with actual outcomes instead would build predictor,
- * confidence, and indirect-target tables indexed under a history the
- * core never produces; restored windows would then mispredict more,
- * predicate more, and systematically overestimate CPI. The engine
- * therefore carries a full WishEngine replica whose state is included
- * in checkpoints, so windows resume with a warm mode machine and warm
- * per-loop trip state too.
- *
+ * The warming core never cycles: its clock, seq/uid allocators and
+ * fetch stall stay at their reset values, data accesses warm cache
+ * tags without fill timing, and no attribution engine rides along, so
+ * a checkpoint carries an empty fill ledger and no attribution shadow.
  * Truly pipeline-local state — in-flight µops, fetch stalls — is
  * re-warmed by each window's detailed-warmup prefix
  * (SamplingParams::warmupUops).
  *
- * The engine owns a private StatSet so the warming structures' counter
+ * The engine owns a private StatSet so the warming core's counter
  * traffic never pollutes the caller's statistics.
  */
 
@@ -41,17 +31,13 @@
 #define WISC_UARCH_FASTFWD_HH_
 
 #include <cstdint>
-#include <memory>
 
 #include "arch/state.hh"
 #include "common/stats.hh"
 #include "isa/program.hh"
-#include "uarch/bpred.hh"
-#include "uarch/bpred_iface.hh"
-#include "uarch/cache.hh"
 #include "uarch/checkpoint.hh"
+#include "uarch/core.hh"
 #include "uarch/params.hh"
-#include "uarch/wish.hh"
 
 namespace wisc {
 
@@ -70,47 +56,29 @@ class FastForward
      * instruction (the threaded engine checks its budget before each
      * dispatch).
      */
-    void advanceTo(std::uint64_t targetUops);
+    void advanceTo(std::uint64_t targetUops) { core_.fastForward(targetUops); }
 
     /** Instructions executed so far (== retired µops of a detailed run
      *  under the C-style predication mechanism without NO-FETCH; the
      *  sampled runner asserts that equivalence). */
-    std::uint64_t uops() const { return uops_; }
+    std::uint64_t uops() const { return core_.retired(); }
 
     /** Instructions nullified by a FALSE qualifying predicate so far. */
-    std::uint64_t predFalse() const { return predFalse_; }
+    std::uint64_t predFalse() const;
 
-    bool halted() const { return halted_; }
+    bool halted() const { return core_.halted(); }
 
     /** Current architectural state (exact-result extraction: result
      *  register, memory fingerprint). */
-    const ArchState &archState() const { return state_; }
+    const ArchState &archState() const { return core_.archState(); }
 
     /** Capture a warm-state checkpoint at the current position,
-     *  restorable into a Core via beginRun(prog, ckpt). now == 0 and
-     *  the fill ledger is empty (see file comment); the wish-engine
-     *  replica state is included (hasWish), the attribution shadow
-     *  section is absent (cold-started). */
-    void checkpoint(CoreCheckpoint &out) const;
+     *  restorable into a Core via beginRun(prog, ckpt). */
+    void checkpoint(CoreCheckpoint &out) const { core_.checkpoint(out); }
 
   private:
-    const Program &prog_;
-    SimParams params_;
-    StatSet stats_; ///< private sink for warming-structure counters
-
-    ArchState state_;
-    MemorySystem memsys_;
-    std::unique_ptr<IBranchPredictor> bpred_;
-    Btb btb_;
-    ReturnAddressStack ras_;
-    IndirectTargetCache itc_;
-    std::unique_ptr<IConfidence> conf_;
-    WishEngine wish_;
-
-    std::uint32_t pc_;
-    std::uint64_t uops_ = 0;
-    std::uint64_t predFalse_ = 0;
-    bool halted_ = false;
+    StatSet stats_; ///< private sink for the warming core's counters
+    Core core_;
 };
 
 } // namespace wisc

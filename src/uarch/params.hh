@@ -208,8 +208,9 @@ struct SimParams
      * low-confidence branch's hammock linearly up to the merge point
      * predicted by the hardware merge-point table (uarch/mergepoint.hh),
      * nullifying the not-taken-path µops; FetchGate stalls fetch for
-     * dynFetchGateCycles instead. Sampled simulation requires Off (the
-     * warm-state replica does not replay region decisions).
+     * dynFetchGateCycles instead. Sampled simulation accepts Off and
+     * FetchGate; it rejects MergePoint, because a functional
+     * fast-forward cannot train the merge-point table.
      */
     DynPredMode dynPred = DynPredMode::Off;
     /** FetchGate: cycles fetch stalls after a low-confidence branch. */

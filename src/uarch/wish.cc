@@ -32,20 +32,6 @@ WishEngine::WishEngine(StatSet &stats, bool loopBias)
 }
 
 void
-WishEngine::reset()
-{
-    mode_ = FrontEndMode::Normal;
-    lowConfFromLoop_ = false;
-    pendingTarget_ = 0xffffffff;
-    predBuffer_.fill(-1);
-    complementOf_.fill(kPredNone);
-    loopLastPred_.clear();
-    loopTrips_.clear();
-    loopInstanceOf_.clear();
-    branchPred_ = 0;
-}
-
-void
 WishEngine::saveState(ByteWriter &w) const
 {
     w.u8(static_cast<std::uint8_t>(mode_));
@@ -103,17 +89,6 @@ WishEngine::restoreState(ByteReader &r)
     for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
         std::uint32_t pc = r.u32();
         loopInstanceOf_[pc] = r.u32();
-    }
-}
-
-void
-WishEngine::onInstructionFetched(std::uint32_t pc)
-{
-    // "Target fetched" exit transition (Figure 8): the target of the
-    // wish jump/join that caused the mode entry has been fetched.
-    if (mode_ != FrontEndMode::Normal && !lowConfFromLoop_ &&
-        pc == pendingTarget_) {
-        mode_ = FrontEndMode::Normal;
     }
 }
 
@@ -249,22 +224,6 @@ WishEngine::onFlush()
     lowConfFromLoop_ = false;
     pendingTarget_ = 0xffffffff;
     predBuffer_.fill(-1);
-}
-
-void
-WishEngine::noteCompare(PredIdx pd, PredIdx pd2)
-{
-    if (pd != kPredNone && pd2 != kPredNone) {
-        complementOf_[pd] = pd2;
-        complementOf_[pd2] = pd;
-    }
-}
-
-void
-WishEngine::notePredWrite(PredIdx pd)
-{
-    if (pd != kPredNone)
-        predBuffer_[pd] = -1;
 }
 
 std::optional<bool>

@@ -60,8 +60,17 @@ class WishEngine
     FrontEndMode mode() const { return mode_; }
 
     /** Fetch calls this for every instruction before decoding it, so the
-     *  "target fetched" mode exit fires at the right point. */
-    void onInstructionFetched(std::uint32_t pc);
+     *  "target fetched" mode exit (Figure 8) fires at the right point:
+     *  the target of the wish jump/join that caused the mode entry has
+     *  been fetched. Inline: it runs once per fetched or fast-forwarded
+     *  instruction. */
+    void
+    onInstructionFetched(std::uint32_t pc)
+    {
+        if (mode_ != FrontEndMode::Normal && !lowConfFromLoop_ &&
+            pc == pendingTarget_)
+            mode_ = FrontEndMode::Normal;
+    }
 
     /**
      * Fetch calls this for each wish branch. 'predictorTaken' is the raw
@@ -76,10 +85,6 @@ class WishEngine
      *  clears the predicate prediction buffer. */
     void onFlush();
 
-    /** Return every piece of engine state to its construction value
-     *  (cold front end; counters are untouched). */
-    void reset();
-
     /** Checkpoint/restore all value state: mode machine, predicate
      *  buffer, complement map, and the per-static-loop prediction /
      *  trip-count / instance tables. */
@@ -89,11 +94,23 @@ class WishEngine
     // --- predicate dependency elimination buffer (§3.5.3) -------------
 
     /** Decode notes every compare so the complement pairing is known. */
-    void noteCompare(PredIdx pd, PredIdx pd2);
+    void
+    noteCompare(PredIdx pd, PredIdx pd2)
+    {
+        if (pd != kPredNone && pd2 != kPredNone) {
+            complementOf_[pd] = pd2;
+            complementOf_[pd2] = pd;
+        }
+    }
 
     /** Decode notes every predicate write; a write to a buffered
      *  predicate invalidates its entry. */
-    void notePredWrite(PredIdx pd);
+    void
+    notePredWrite(PredIdx pd)
+    {
+        if (pd != kPredNone)
+            predBuffer_[pd] = -1;
+    }
 
     /** Predicted value for a source predicate, if buffered. */
     std::optional<bool> predictedPredicate(PredIdx p) const;

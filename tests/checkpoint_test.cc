@@ -9,11 +9,13 @@
  *    the differential fuzzer's SimParams matrix (TAGE, bimodal,
  *    attribution, poll scheduler, ...) on generated programs;
  *  - fast-forward checkpoint injection: a Core restored from a
- *    FastForward checkpoint (which carries the wish-engine replica,
- *    hasWish) must finish the program with the exact architectural
- *    result, and the qp-true retire counts of the two legs must sum
- *    to the functional total — the coordinate identity the sampled
- *    estimator extrapolates in;
+ *    FastForward checkpoint must finish the program with the exact
+ *    architectural result, and the qp-true retire counts of the two
+ *    legs must sum to the functional total — the coordinate identity
+ *    the sampled estimator extrapolates in;
+ *  - fast-forward warming under FetchGate: with no wrong path, a
+ *    drained detailed core and a fast-forward to the same boundary
+ *    hold the same confidence-estimator state;
  *  - restore guards: a checkpoint must not restore into a core with a
  *    different machine configuration or program image;
  *  - sampled-run sanity: a prefix covering the whole program degrades
@@ -22,18 +24,23 @@
  */
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "arch/emulator.hh"
+#include "arch/state.hh"
+#include "common/bytes.hh"
 #include "common/log.hh"
 #include "common/stats.hh"
 #include "fuzz/fuzzer.hh"
 #include "fuzz/generator.hh"
 #include "harness/runner.hh"
 #include "isa/program.hh"
+#include "uarch/bpred_iface.hh"
+#include "uarch/cache.hh"
 #include "uarch/core.hh"
 #include "uarch/fastfwd.hh"
 #include "workloads/workload.hh"
@@ -197,7 +204,6 @@ TEST(Checkpoint, FastForwardInjectionKeepsArchitecturalResultsExact)
 
     CoreCheckpoint ckpt;
     ff.checkpoint(ckpt);
-    EXPECT_TRUE(ckpt.hasWish); // the wish-engine replica rides along
     EXPECT_FALSE(ckpt.hasAttribShadow);
     EXPECT_EQ(ckpt.retiredUops, ff.uops());
 
@@ -219,6 +225,72 @@ TEST(Checkpoint, FastForwardInjectionKeepsArchitecturalResultsExact)
     const std::uint64_t contQt = (r.retiredUops - ckpt.retiredUops) -
                                  ws.get("core.retired_pred_false");
     EXPECT_EQ(prefixQt + contQt, er.dynInsts - er.predFalse);
+}
+
+/** The confidence-estimator section of a checkpoint's byte stream,
+ *  located by restoring the sections before it in checkpoint order. */
+ByteBuffer
+confSection(const CoreCheckpoint &ckpt, const SimParams &p)
+{
+    StatSet s;
+    ByteReader r(ckpt.bytes);
+    ArchState state;
+    state.restoreState(r);
+    MemorySystem mem(p, s);
+    mem.restoreState(r);
+    std::unique_ptr<IBranchPredictor> bpred = makeBranchPredictor(p, s);
+    bpred->restoreState(r);
+    const std::size_t begin = r.pos();
+    makeConfidenceEstimator(p, s, *bpred)->restoreState(r);
+    return ByteBuffer(ckpt.bytes.begin() + begin,
+                      ckpt.bytes.begin() + r.pos());
+}
+
+TEST(Checkpoint, FetchGateFastForwardTrainsTheEstimatorLikeTheCore)
+{
+    // Under FetchGate the core trains its confidence estimator on every
+    // retired normal branch, not only on wish branches. With a perfect
+    // direction predictor there is no wrong path and no predication, so
+    // a detailed core drained at a boundary and a fast-forward to the
+    // same boundary must hold the same estimator state. The up/down
+    // estimator serializes a plain counter array (no padding bytes),
+    // so its section compares byte for byte; every update is "correct"
+    // and saturating, so retire timing cannot reorder it.
+    CompiledWorkload w = compileWorkload("gzip");
+    Program prog =
+        programFor(w, BinaryVariant::WishJumpJoinLoop, InputSet::A);
+
+    SimParams sp;
+    sp.checkFinalState = false;
+    sp.oracle.perfectCBP = true;
+    sp.dynPred = DynPredMode::FetchGate;
+    sp.confKind = ConfKind::UpDown;
+
+    Emulator ref;
+    EmuResult er = ref.run(prog);
+    ASSERT_TRUE(er.halted);
+
+    StatSet cs;
+    Core core(sp, cs);
+    core.beginRun(prog);
+    core.advance(er.dynInsts / 2, /*drain=*/true);
+    ASSERT_FALSE(core.halted());
+    CoreCheckpoint detailed;
+    core.checkpoint(detailed);
+    core.finishRun();
+
+    FastForward ff(prog, sp);
+    ff.advanceTo(detailed.retiredUops);
+    CoreCheckpoint warmed;
+    ff.checkpoint(warmed);
+
+    ASSERT_EQ(warmed.retiredUops, detailed.retiredUops);
+    ASSERT_EQ(warmed.fetchPc, detailed.fetchPc);
+    const ByteBuffer want = confSection(detailed, sp);
+    const ByteBuffer got = confSection(warmed, sp);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_TRUE(got == want)
+        << "fast-forward and detailed estimator state differ";
 }
 
 TEST(Checkpoint, RestoreGuardsRejectMismatchedMachineAndProgram)
