@@ -16,12 +16,14 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
 
 #include "common/hash.hh"
 #include "common/log.hh"
+#include "fuzz/fuzzer.hh"
 #include "golden_runs.hh"
 #include "harness/experiments.hh"
 #include "harness/run_cache.hh"
@@ -286,6 +288,44 @@ TEST(FingerprintTest, EverySimParamsFieldPerturbsTheHash)
             << "field '" << f.name
             << "' does not land in SimParams::fingerprint()";
     }
+}
+
+/** The run-cache keys of the machines the experiments, the golden
+ *  matrix and the fuzzer run, pinned to the values the hash gave when
+ *  they were captured. A hash that reorders or re-widens a field
+ *  passes every other test here, yet makes every existing cache
+ *  directory miss. */
+TEST(FingerprintTest, KnownMachinesKeepTheirKeys)
+{
+    EXPECT_EQ(SimParams{}.fingerprint(), 0x1a3c46c8b3a3d6f9ull);
+
+    std::vector<std::pair<std::string, std::uint64_t>> keys;
+    for (const GoldenRunSpec &spec : goldenRuns())
+        keys.emplace_back("golden " + spec.label, spec.params.fingerprint());
+    for (const ParamsPoint &pt : defaultParamsMatrix(false))
+        keys.emplace_back("fuzz " + pt.label, pt.params.fingerprint());
+
+    const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
+        {"golden normal", 0x1a3c46c8b3a3d6f9ull},
+        {"golden base-max", 0x1a3c46c8b3a3d6f9ull},
+        {"golden wish-jjl", 0x1a3c46c8b3a3d6f9ull},
+        {"golden wish-jjl-selectuop", 0x4a47a27b1cdd7a5bull},
+        {"golden wish-jjl-win128", 0xfacaa056aef6fa62ull},
+        {"golden sampled-attrib", 0xb8dea4d7f230c91cull},
+        {"golden sampled-tage", 0x30defd2bfef1a212ull},
+        {"fuzz default-attrib", 0x540187d4e2348260ull},
+        {"fuzz small-poll", 0x2c9e274d99e4883dull},
+        {"fuzz tiny-conf-shallow", 0x8594ff984fe9f6c5ull},
+        {"fuzz tage-small", 0xb6c5f7b5ede8c684ull},
+        {"fuzz bimodal", 0x22b3f3fcd8679f03ull},
+        {"fuzz dynpred-merge", 0xf11c07987c91c970ull},
+        {"fuzz select-uop", 0xb33838aa5235a5fbull},
+        {"fuzz updown-conf", 0x0c82e3e1d38e2ae7ull},
+        {"fuzz two-level", 0x21430674bfd98a1cull},
+        {"fuzz dynpred-merge-select", 0x554fecba1ab32718ull},
+        {"fuzz dynpred-fetchgate", 0x20d3303df95843e9ull},
+    };
+    EXPECT_EQ(keys, pinned);
 }
 
 // ---- in-process dedup -------------------------------------------------
