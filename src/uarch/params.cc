@@ -4,132 +4,20 @@
 
 namespace wisc {
 
-namespace {
-
-void
-hashCache(Hasher &h, const CacheParams &c)
-{
-    h.u32(c.sizeBytes);
-    h.u32(c.ways);
-    h.u32(c.lineBytes);
-    h.u32(c.hitLatency);
-}
-
-} // namespace
-
 std::uint64_t
 SimParams::fingerprint() const
 {
-    // Keep this exhaustive: every field that can change simulation
-    // behavior must land in the digest, or the run cache would replay a
-    // stale result for a different machine. The static_asserts below
-    // trip when SimParams/CacheParams/OracleKnobs grow, forcing whoever
-    // adds a field to extend this function (and the perturbation test).
-    static_assert(sizeof(CacheParams) == 16,
-                  "CacheParams changed: extend SimParams::fingerprint() "
-                  "and the field-perturbation test");
-    static_assert(sizeof(OracleKnobs) == 4,
-                  "OracleKnobs changed: extend SimParams::fingerprint() "
-                  "and the field-perturbation test");
-    static_assert(sizeof(SimParams) == 344,
-                  "SimParams changed: extend SimParams::fingerprint() "
-                  "and the field-perturbation test");
-
+    // One u64 per scalar, in list order: Hasher's u32, u8 and b widen
+    // the same way, which keeps the keys of existing cache directories
+    // (FingerprintTest.KnownMachinesKeepTheirKeys pins them).
     Hasher h;
     h.str("wisc.simparams.v2");
-
-    h.u32(fetchWidth);
-    h.u32(decodeWidth);
-    h.u32(issueWidth);
-    h.u32(retireWidth);
-    h.u32(maxCondBrPerFetch);
-    h.u32(memPortsPerCycle);
-
-    h.u32(robSize);
-    h.u32(iqSize);
-    h.u32(lsqSize);
-    h.u32(pipelineStages);
-
-    hashCache(h, il1);
-    hashCache(h, dl1);
-    hashCache(h, l2);
-    h.u32(memLatency);
-    h.u32(maxOutstandingMisses);
-
-    h.u32(gshareEntries);
-    h.u32(pasHistEntries);
-    h.u32(pasPatternEntries);
-    h.u32(pasHistBits);
-    h.u32(selectorEntries);
-    h.u32(btbSets);
-    h.u32(btbWays);
-    h.u32(rasEntries);
-    h.u32(indirectEntries);
-    h.u32(indirectHistBits);
-
-    h.u8(static_cast<std::uint8_t>(predictor));
-    h.u32(bimodalEntries);
-    h.u32(twoLevelEntries);
-    h.u32(twoLevelHistBits);
-    h.u32(tageTables);
-    h.u32(tageEntriesLog2);
-    h.u32(tageTagBits);
-    h.u32(tageMinHist);
-    h.u32(tageMaxHist);
-    h.u32(tageBaseEntriesLog2);
-    h.u32(tageUsefulBits);
-    h.u32(tageResetPeriod);
-
-    h.u32(confSets);
-    h.u32(confWays);
-    h.u32(confHistBits);
-    h.u32(confCtrBits);
-    h.u32(confThreshold);
-    h.u32(confTagBits);
-    h.b(confMissIsHigh);
-
-    h.u8(static_cast<std::uint8_t>(confKind));
-    h.u32(udConfEntries);
-    h.u32(udConfHistBits);
-    h.u32(udConfMax);
-    h.u32(udConfThreshold);
-    h.u32(udConfDownStep);
-
-    h.u32(latAlu);
-    h.u32(latMul);
-    h.u32(latDiv);
-    h.u32(latBranch);
-    h.u32(latStoreForward);
-
-    h.u8(static_cast<std::uint8_t>(predMech));
-    h.b(wishEnabled);
-    h.b(wishLoopBias);
-
-    h.u8(static_cast<std::uint8_t>(dynPred));
-    h.u32(dynFetchGateCycles);
-    h.u32(dynMergeEntries);
-    h.u32(dynMergeMinConf);
-    h.u32(dynMaxRegionUops);
-    h.u32(dynMergeTrackUops);
-
-    h.b(oracle.noDepend);
-    h.b(oracle.noFetch);
-    h.b(oracle.perfectCBP);
-    h.b(oracle.perfectConfidence);
-
-    h.b(sampling.enabled);
-    h.u64(sampling.periodUops);
-    h.u64(sampling.warmupUops);
-    h.u64(sampling.measureUops);
-    h.u64(sampling.prefixUops);
-
-    h.u64(maxCycles);
-    h.u64(maxRetired);
-    h.b(checkFinalState);
-    h.b(collectAttribution);
-    h.b(collectBranchProfile);
-    h.b(pollScheduler);
-
+    forEachParam(*this, [&h](const char *, auto v) {
+        static_assert(std::is_integral_v<decltype(v)> ||
+                          std::is_enum_v<decltype(v)>,
+                      "hash a new kind of parameter explicitly");
+        h.u64(static_cast<std::uint64_t>(v));
+    });
     return h.digest();
 }
 
