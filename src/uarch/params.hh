@@ -141,14 +141,12 @@ struct OracleKnobs
     X(unsigned, decodeWidth, 8)                                            \
     X(unsigned, issueWidth, 8)                                             \
     X(unsigned, retireWidth, 8)                                            \
-    /** Fetch also ends at the first taken branch. */                      \
-    X(unsigned, maxCondBrPerFetch, 3)                                      \
+    X(unsigned, maxCondBrPerFetch, 3) /* fetch also ends at a taken br */  \
     X(unsigned, memPortsPerCycle, 4)                                       \
                                                                            \
     /* Window (Table 2: 512-entry ROB; Figure 14 sweeps 128/256/512). */   \
     X(unsigned, robSize, 512)                                              \
-    /** Unified scheduler entries. */                                      \
-    X(unsigned, iqSize, 128)                                               \
+    X(unsigned, iqSize, 128) /* unified scheduler entries */               \
     /** Not modelled: nothing reads it. It stays because every             \
      *  run-cache key hashes it. */                                        \
     X(unsigned, lsqSize, 256)                                              \
@@ -168,13 +166,11 @@ struct OracleKnobs
                                                                            \
     /* Branch predictors (Table 2). */                                     \
     X(unsigned, gshareEntries, 64 * 1024)                                  \
-    /** Per-address history registers. */                                  \
-    X(unsigned, pasHistEntries, 4 * 1024)                                  \
+    X(unsigned, pasHistEntries, 4 * 1024) /* per-address histories */      \
     X(unsigned, pasPatternEntries, 64 * 1024)                              \
     X(unsigned, pasHistBits, 10)                                           \
     X(unsigned, selectorEntries, 64 * 1024)                                \
-    /** x4 ways = 4K entries. */                                           \
-    X(unsigned, btbSets, 1024)                                             \
+    X(unsigned, btbSets, 1024) /* x4 ways = 4K entries */                  \
     X(unsigned, btbWays, 4)                                                \
     X(unsigned, rasEntries, 64)                                            \
     X(unsigned, indirectEntries, 4 * 1024)                                 \
@@ -189,18 +185,15 @@ struct OracleKnobs
                                                                            \
     /* Bimodal / standalone two-level zoo points. */                       \
     X(unsigned, bimodalEntries, 16 * 1024)                                 \
-    /** Pattern-table counters. */                                         \
-    X(unsigned, twoLevelEntries, 64 * 1024)                                \
-    /** Global history register bits. */                                   \
-    X(unsigned, twoLevelHistBits, 8)                                       \
+    X(unsigned, twoLevelEntries, 64 * 1024) /* pattern-table counters */   \
+    X(unsigned, twoLevelHistBits, 8) /* global history register */         \
                                                                            \
     /* TAGE (DESIGN.md: predictor zoo). A bimodal base table T0 plus       \
      * `tageTables` tagged tables whose history lengths grow               \
      * geometrically from tageMinHist to tageMaxHist (capped at 64: the    \
      * history register checkpointed per branch is one 64-bit word). */    \
     X(unsigned, tageTables, 5)                                             \
-    /** Entries per tagged table (log2). */                                \
-    X(unsigned, tageEntriesLog2, 10)                                       \
+    X(unsigned, tageEntriesLog2, 10) /* entries per table, log2 */         \
     X(unsigned, tageTagBits, 9)                                            \
     X(unsigned, tageMinHist, 4)                                            \
     X(unsigned, tageMaxHist, 64)                                           \
@@ -238,8 +231,7 @@ struct OracleKnobs
     X(unsigned, latMul, 3)                                                 \
     X(unsigned, latDiv, 12)                                                \
     X(unsigned, latBranch, 1)                                              \
-    /** Store-to-load forwarding. */                                       \
-    X(unsigned, latStoreForward, 2)                                        \
+    X(unsigned, latStoreForward, 2) /* store-to-load forwarding */         \
                                                                            \
     /* Predication support. */                                             \
     X(PredMechanism, predMech, PredMechanism::CStyle)                      \
