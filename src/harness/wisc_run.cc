@@ -14,6 +14,7 @@
  * compiled kernel.
  */
 
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -63,6 +64,25 @@ usage()
         "                  collect the per-static-branch profile table\n"
         "  --pipeview N    render a pipeline diagram of the first N uops\n";
     return 2;
+}
+
+/** Parse a whole decimal count: digits only (from_chars takes no sign
+ *  or space for an unsigned type), no overflow, nothing after. */
+template <typename T>
+bool
+parseCount(const std::string &s, T &out)
+{
+    const char *last = s.data() + s.size();
+    auto [end, ec] = std::from_chars(s.data(), last, out);
+    return ec == std::errc() && end == last;
+}
+
+int
+badCount(const std::string &flag, const char *value)
+{
+    std::cerr << flag << " wants a non-negative integer, got '" << value
+              << "'\n";
+    return usage();
 }
 
 BinaryVariant
@@ -119,13 +139,13 @@ main(int argc, char **argv)
             } else if (a == "--input") {
                 input = parseInput(next(i));
             } else if (a == "--rob") {
-                params.robSize =
-                    static_cast<unsigned>(std::stoul(next(i)));
+                if (!parseCount(next(i), params.robSize))
+                    return badCount(a, argv[i]);
                 params.iqSize = params.robSize / 4;
                 params.lsqSize = params.robSize / 2;
             } else if (a == "--stages") {
-                params.pipelineStages =
-                    static_cast<unsigned>(std::stoul(next(i)));
+                if (!parseCount(next(i), params.pipelineStages))
+                    return badCount(a, argv[i]);
             } else if (a == "--select-uop") {
                 params.predMech = PredMechanism::SelectUop;
             } else if (a == "--no-wish") {
@@ -158,7 +178,8 @@ main(int argc, char **argv)
             } else if (a == "--branch-profile") {
                 params.collectBranchProfile = true;
             } else if (a == "--pipeview") {
-                pipeview = std::stoul(next(i));
+                if (!parseCount(next(i), pipeview))
+                    return badCount(a, argv[i]);
             } else if (a == "--listing") {
                 listing = true;
             } else if (a == "--dot") {
