@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <utility>
 
 #include "arch/emulator.hh"
 #include "arch/threaded.hh"
@@ -46,6 +47,26 @@ Core::Core(const SimParams &params, StatSet &stats)
       wish_(stats, params.wishLoopBias),
       merge_(params.dynMergeEntries, params.dynMergeTrackUops)
 {
+    // With any of these at 0 no µop could ever retire, and the core
+    // would spin until maxCycles.
+    const std::pair<const char *, unsigned> atLeastOne[] = {
+        {"decodeWidth", params.decodeWidth},
+        {"issueWidth", params.issueWidth},
+        {"retireWidth", params.retireWidth},
+        {"iqSize", params.iqSize},
+        {"memPortsPerCycle", params.memPortsPerCycle},
+        {"maxOutstandingMisses", params.maxOutstandingMisses},
+        {"maxCondBrPerFetch", params.maxCondBrPerFetch},
+    };
+    for (const auto &[name, value] : atLeastOne)
+        if (value == 0)
+            wisc_fatal("SimParams::", name, " is 0: the core cannot retire");
+    // A select-µop pair renames into two ROB and two IQ entries at once.
+    if (params.predMech == PredMechanism::SelectUop &&
+        (params.robSize < 2 || params.iqSize < 2))
+        wisc_fatal("SimParams::", params.robSize < 2 ? "robSize" : "iqSize",
+                   " is below 2: a select-µop pair cannot rename");
+
     // The fetch queue models the front-end pipe itself, so it must hold
     // frontEndDelay() stages' worth of fetched µops plus a small decode
     // buffer — otherwise back-pressure would artificially restart the

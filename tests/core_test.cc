@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/emulator.hh"
+#include "common/log.hh"
 #include "common/stats.hh"
 #include "compiler/builder.hh"
 #include "compiler/driver.hh"
@@ -47,6 +48,44 @@ TEST(CoreTest, StraightLineProgram)
     // Front end depth dominates a tiny program.
     EXPECT_GT(r.cycles, 20u);
     EXPECT_LT(r.cycles, 400u);
+}
+
+/** A machine that can never retire a µop is a configuration error at
+ *  construction, not a spin until maxCycles. */
+TEST(CoreTest, UnrunnableMachineFailsAtConstruction)
+{
+    struct Case
+    {
+        const char *what;
+        void (*set)(SimParams &);
+    };
+    const Case cases[] = {
+        {"decodeWidth 0", [](SimParams &p) { p.decodeWidth = 0; }},
+        {"issueWidth 0", [](SimParams &p) { p.issueWidth = 0; }},
+        {"retireWidth 0", [](SimParams &p) { p.retireWidth = 0; }},
+        {"iqSize 0", [](SimParams &p) { p.iqSize = 0; }},
+        {"memPortsPerCycle 0", [](SimParams &p) { p.memPortsPerCycle = 0; }},
+        {"maxOutstandingMisses 0",
+         [](SimParams &p) { p.maxOutstandingMisses = 0; }},
+        {"maxCondBrPerFetch 0",
+         [](SimParams &p) { p.maxCondBrPerFetch = 0; }},
+        {"select-uop robSize 1",
+         [](SimParams &p) {
+             p.predMech = PredMechanism::SelectUop;
+             p.robSize = 1;
+         }},
+        {"select-uop iqSize 1",
+         [](SimParams &p) {
+             p.predMech = PredMechanism::SelectUop;
+             p.iqSize = 1;
+         }},
+    };
+    for (const Case &c : cases) {
+        SimParams p;
+        c.set(p);
+        StatSet stats;
+        EXPECT_THROW(Core core(p, stats), FatalError) << c.what;
+    }
 }
 
 TEST(CoreTest, MatchesEmulatorOnLoops)
