@@ -1023,10 +1023,8 @@ Core::stageRename()
             a = front;
             a.seq = nextSeq_++;
             a.selectPart = 1;
-            if (a.isStoreOp() && !a.memSkipped) {
-                storeSeqs_.push_back(a.seq);
+            if (a.isStoreOp() && !a.memSkipped)
                 indexStore(a.seq, a.memAddr, a.memSize);
-            }
             a.undoEnd = a.undoStart; // effects commit with the select
             computeDeps(a);
             a.inIQ = true;
@@ -1068,10 +1066,8 @@ Core::stageRename()
         ++iqCount_;
         if (nsinks_)
             emitRename(di);
-        if (di.isStoreOp() && !di.memSkipped) {
-            storeSeqs_.push_back(di.seq);
+        if (di.isStoreOp() && !di.memSkipped)
             indexStore(di.seq, di.memAddr, di.memSize);
-        }
         scheduleOrReady(di);
         ++renamed;
     }
@@ -1403,11 +1399,6 @@ Core::flushAfter(const DynInst &branch, std::uint32_t redirectPc,
                                         return s > branch.seq;
                                     }),
                      readyList_.end());
-    storeSeqs_.erase(std::remove_if(storeSeqs_.begin(), storeSeqs_.end(),
-                                    [&](SeqNum s) {
-                                        return s > branch.seq;
-                                    }),
-                     storeSeqs_.end());
 
 #ifndef NDEBUG
     // findInst()'s O(1) contract: seq numbers stay dense base..base+size
@@ -1471,10 +1462,8 @@ Core::stageRetire()
         if (di.isStoreOp() && !di.memSkipped) {
             if (di.selectPart != 1)
                 memsys_.storeAccess(di.memAddr);
-            if (!storeSeqs_.empty() && storeSeqs_.front() == di.seq) {
-                storeSeqs_.erase(storeSeqs_.begin());
+            if (di.selectPart != 2)
                 unindexStore(di.seq, di.memAddr, di.memSize);
-            }
         }
 
         undo_.commitTo(di.undoEnd);
@@ -1782,7 +1771,6 @@ Core::resetMachine(const Program &prog)
     std::fill(std::begin(predProducer_), std::end(predProducer_), 0);
     while (!missHeap_.empty())
         missHeap_.pop();
-    storeSeqs_.clear();
     storesByWord_.clear();
     dynActive_ = false;
     dynRegionEnd_ = 0;

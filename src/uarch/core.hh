@@ -504,11 +504,10 @@ class Core
      *  of scanning every slot per load issue. */
     std::priority_queue<Cycle, std::vector<Cycle>, std::greater<Cycle>>
         missHeap_;
-    /** Seqnums of in-flight (renamed, unretired) stores, ascending. */
-    std::vector<SeqNum> storeSeqs_;
-    /** Word-granular index over those stores: 8-byte-aligned word ->
-     *  ascending seqnums of in-flight stores touching it. Buckets are
-     *  kept allocated (cleared, not erased) across reuse. */
+    /** Word-granular index over in-flight (renamed, unretired) stores:
+     *  8-byte-aligned word -> ascending seqnums of the stores touching
+     *  it. Buckets are kept allocated (cleared, not erased) across
+     *  reuse. */
     std::unordered_map<Addr, std::vector<SeqNum>> storesByWord_;
     std::uint64_t retiredUops_ = 0;
 
