@@ -13,10 +13,13 @@
  * WISC_SIM_PARAMS. The list declares the members with their defaults,
  * and forEachParam() walks it, which is how SimParams::fingerprint()
  * and the run-cache perturbation test see every field. Adding a field
- * means adding one row. Rows are hashed in list order, so moving a row
- * changes every run-cache key. A default with commas passes through the
- * variadic default, and comments in a list are block comments: a line
- * comment would swallow the line continuation.
+ * means adding one row, and the hash and that test cover it with no
+ * other edit. Rows are hashed in list order, so a new or moved row
+ * changes every run-cache key, and the keys pinned by
+ * FingerprintTest.KnownMachinesKeepTheirKeys are captured again with
+ * it. A default with commas passes through the variadic default, and
+ * comments in a list are block comments: a line comment would swallow
+ * the line continuation.
  */
 
 #ifndef WISC_UARCH_PARAMS_HH_
