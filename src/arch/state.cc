@@ -102,26 +102,14 @@ Memory::fingerprint() const
 }
 
 void
-Memory::saveState(ByteWriter &w) const
+Memory::io(StateIO &io)
 {
-    w.u64(pages_.size());
-    for (const auto &kv : pages_) {
-        w.u64(kv.first);
-        w.raw(kv.second->data(), kPageSize);
-    }
-}
-
-void
-Memory::restoreState(ByteReader &r)
-{
-    pages_.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr idx = r.u64();
-        auto page = std::make_unique<Page>();
-        r.raw(page->data(), kPageSize);
-        pages_.emplace(idx, std::move(page));
-    }
+    io.map(pages_, [&](Addr &index, std::unique_ptr<Page> &page) {
+        io(index);
+        if (!page)
+            page = std::make_unique<Page>();
+        io.bytes(page->data(), kPageSize);
+    });
 }
 
 std::vector<Addr>
@@ -156,23 +144,13 @@ ArchState::loadData(const Program &prog)
 }
 
 void
-ArchState::saveState(ByteWriter &w) const
-{
-    for (Word v : regs_)
-        w.i64(v);
-    for (bool p : preds_)
-        w.b(p);
-    mem_.saveState(w);
-}
-
-void
-ArchState::restoreState(ByteReader &r)
+ArchState::io(StateIO &io)
 {
     for (Word &v : regs_)
-        v = r.i64();
+        io(v);
     for (bool &p : preds_)
-        p = r.b();
-    mem_.restoreState(r);
+        io(p);
+    mem_.io(io);
 }
 
 void

@@ -50,10 +50,9 @@ class Memory
      *  exposing page internals; untouched addresses read as zero. */
     std::vector<Addr> touchedPages() const;
 
-    /** Serialize every touched page (checkpointing). */
-    void saveState(ByteWriter &w) const;
-    /** Replace the entire contents with a saved image. */
-    void restoreState(ByteReader &r);
+    /** Walk every touched page (checkpointing); reading replaces the
+     *  entire contents. */
+    void io(StateIO &io);
 
   private:
     using Page = std::array<std::uint8_t, kPageSize>;
@@ -104,9 +103,8 @@ class ArchState
     Memory &mem() { return mem_; }
     const Memory &mem() const { return mem_; }
 
-    /** Serialize registers, predicates, and memory (checkpointing). */
-    void saveState(ByteWriter &w) const;
-    void restoreState(ByteReader &r);
+    /** Walk registers, predicates, and memory (checkpointing). */
+    void io(StateIO &io);
 
   private:
     std::array<Word, kNumIntRegs> regs_;

@@ -6,9 +6,9 @@
  * Design goals, in order: (1) exact round-tripping of uint64 counters —
  * cycle and event counts must not pass through a double; (2) a
  * deterministic, insertion-ordered writer so emitted files diff cleanly
- * across runs; (3) a strict parser good enough for the regression tests
- * to round-trip what the writer produces. Not goals: speed on huge
- * documents, comments, or lenient parsing.
+ * across runs. The strict parser the regression tests use to round-trip
+ * what the writer produces lives with them (tests/json_parse.hh). Not
+ * goals: speed on huge documents, comments, or lenient parsing.
  */
 
 #ifndef WISC_COMMON_JSON_HH_
@@ -92,9 +92,6 @@ class Value
     /** Write the document; indent > 0 pretty-prints. */
     void write(std::ostream &os, int indent = 2) const;
     std::string dump(int indent = 2) const;
-
-    /** Strict parse; throws FatalError on malformed input. */
-    static Value parse(const std::string &text);
 
   private:
     void writeImpl(std::ostream &os, int indent, int depth) const;

@@ -121,17 +121,6 @@ StatSet::require<StatTable>(const std::string &name) const
 }
 
 void
-StatSet::resetAll()
-{
-    for (auto &kv : counters_)
-        kv.second.counter.reset();
-    for (auto &kv : histograms_)
-        kv.second.hist.reset();
-    for (auto &kv : tables_)
-        kv.second.table.reset();
-}
-
-void
 StatSet::dump(std::ostream &os) const
 {
     for (const auto &kv : counters_) {

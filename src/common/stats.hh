@@ -36,7 +36,6 @@ class Counter
 
     Counter &operator++() { ++value_; return *this; }
     Counter &operator+=(std::uint64_t n) { value_ += n; return *this; }
-    void reset() { value_ = 0; }
 
     std::uint64_t value() const { return value_; }
 
@@ -79,8 +78,6 @@ class Histogram
         ++buckets_[v];
         ++count_;
     }
-
-    void reset() { buckets_.assign(buckets_.size(), 0); count_ = 0; }
 
     std::uint64_t count() const { return count_; }
     std::uint64_t bucket(std::size_t i) const
@@ -127,8 +124,6 @@ class StatTable
                      .first;
         return it->second;
     }
-
-    void reset() { rows_.clear(); }
 
     const std::vector<std::string> &columns() const { return columns_; }
     const std::map<std::uint64_t, std::vector<std::uint64_t>> &
@@ -182,9 +177,6 @@ class StatSet
      */
     template <typename T>
     const T &require(const std::string &name) const;
-
-    /** Reset every registered statistic to zero. */
-    void resetAll();
 
     /** Dump all statistics, sorted by name. */
     void dump(std::ostream &os) const;

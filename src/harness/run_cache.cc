@@ -1,7 +1,6 @@
 #include "harness/run_cache.hh"
 
 #include <atomic>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -9,6 +8,7 @@
 
 #include <unistd.h>
 
+#include "common/bytes.hh"
 #include "common/hash.hh"
 #include "common/log.hh"
 
@@ -16,107 +16,67 @@ namespace wisc {
 
 namespace {
 
-constexpr char kMagic[8] = {'W', 'I', 'S', 'C', 'R', 'U', 'N', '\0'};
+/** "WISCRUN\0", read as a little-endian u64. */
+constexpr std::uint64_t kMagic = 0x004e555243534957;
 /** v2: appended the StatTable section (core.branch_profile etc.) after
  *  the histograms. v1 readers reject v2 entries by version (and vice
  *  versa) and fall back to a fresh simulation; entryPath() embeds the
  *  version so a mixed-version cache directory simply never collides. */
 constexpr std::uint32_t kFormatVersion = 2;
 
-// ---- little-endian primitive writers/readers --------------------------
-
-void
-putU64(std::string &buf, std::uint64_t v)
+/** The entry around a payload: magic, version, the key it answers, the
+ *  payload (a count, then its bytes) and the payload's checksum. */
+struct Frame
 {
-    char b[8];
-    for (int i = 0; i < 8; ++i)
-        b[i] = static_cast<char>(v >> (8 * i));
-    buf.append(b, 8);
-}
-
-void
-putU32(std::string &buf, std::uint32_t v)
-{
-    char b[4];
-    for (int i = 0; i < 4; ++i)
-        b[i] = static_cast<char>(v >> (8 * i));
-    buf.append(b, 4);
-}
-
-void
-putStr(std::string &buf, const std::string &s)
-{
-    putU64(buf, s.size());
-    buf.append(s);
-}
-
-/** Bounds-checked sequential reader; ok_ latches false on any overrun
- *  so decode failures are detected without exceptions. */
-class Reader
-{
-  public:
-    Reader(const std::string &buf, std::size_t pos) : buf_(buf), pos_(pos)
-    {
-    }
-
-    std::uint64_t
-    u64()
-    {
-        if (!take(8))
-            return 0;
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(buf_[pos_ - 8 + i]))
-                 << (8 * i);
-        return v;
-    }
-
-    std::uint32_t
-    u32()
-    {
-        if (!take(4))
-            return 0;
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(buf_[pos_ - 4 + i]))
-                 << (8 * i);
-        return v;
-    }
-
-    std::string
-    str()
-    {
-        std::uint64_t n = u64();
-        if (!ok_ || n > buf_.size() - pos_) {
-            ok_ = false;
-            return {};
-        }
-        std::string s = buf_.substr(pos_, n);
-        pos_ += n;
-        return s;
-    }
-
-    bool ok() const { return ok_; }
-    std::size_t pos() const { return pos_; }
-
-  private:
-    bool
-    take(std::size_t n)
-    {
-        if (!ok_ || buf_.size() - pos_ < n) {
-            ok_ = false;
-            return false;
-        }
-        pos_ += n;
-        return true;
-    }
-
-    const std::string &buf_;
-    std::size_t pos_ = 0;
-    bool ok_ = true;
+    std::uint64_t magic = kMagic;
+    std::uint32_t version = kFormatVersion;
+    RunKey key;
+    std::string_view payload;
+    std::uint64_t checksum = 0;
 };
+
+void
+io(StateIO &io, Frame &f)
+{
+    io(f.magic, f.version, f.key.prog, f.key.params);
+    io.str(f.payload);
+    io(f.checksum);
+}
+
+/** The payload: the SimResult (halted as a u32), then every counter,
+ *  histogram and table by name. A table row is its key and one u64 per
+ *  column, with no count of its own. */
+void
+io(StateIO &io, RunOutcome &out)
+{
+    SimResult &r = out.result;
+    std::uint32_t halted = r.halted ? 1 : 0;
+    io(halted, r.cycles, r.retiredUops, r.resultReg, r.memFingerprint);
+    if (io.loading())
+        r.halted = halted != 0;
+
+    io.map(out.stats, [&](std::string &name, std::uint64_t &value) {
+        io.str(name);
+        io(value);
+    });
+    io.map(out.hists, [&](std::string &name, HistogramSnapshot &h) {
+        io.str(name);
+        io(h.count);
+        io.seq(h.buckets, [&](std::uint64_t &b) { io(b); });
+    });
+    io.map(out.tables, [&](std::string &name, TableSnapshot &t) {
+        io.str(name);
+        io.seq(t.columns, [&](std::string &c) { io.str(c); });
+        io.map(t.rows, [&](std::uint64_t &key,
+                           std::vector<std::uint64_t> &row) {
+            io(key);
+            if (io.loading())
+                row.resize(t.columns.size());
+            for (std::uint64_t &v : row)
+                io(v);
+        });
+    });
+}
 
 std::string
 hexKey(std::uint64_t v)
@@ -146,135 +106,34 @@ tmpSuffix()
 std::string
 encodeRunOutcome(const RunKey &key, const RunOutcome &out)
 {
-    std::string payload;
-    putU32(payload, out.result.halted ? 1 : 0);
-    putU64(payload, out.result.cycles);
-    putU64(payload, out.result.retiredUops);
-    putU64(payload, static_cast<std::uint64_t>(out.result.resultReg));
-    putU64(payload, out.result.memFingerprint);
-
-    putU64(payload, out.stats.size());
-    for (const auto &kv : out.stats) {
-        putStr(payload, kv.first);
-        putU64(payload, kv.second);
-    }
-    putU64(payload, out.hists.size());
-    for (const auto &kv : out.hists) {
-        putStr(payload, kv.first);
-        putU64(payload, kv.second.count);
-        putU64(payload, kv.second.buckets.size());
-        for (std::uint64_t b : kv.second.buckets)
-            putU64(payload, b);
-    }
-    putU64(payload, out.tables.size());
-    for (const auto &kv : out.tables) {
-        putStr(payload, kv.first);
-        putU64(payload, kv.second.columns.size());
-        for (const std::string &c : kv.second.columns)
-            putStr(payload, c);
-        putU64(payload, kv.second.rows.size());
-        for (const auto &row : kv.second.rows) {
-            putU64(payload, row.first);
-            for (std::uint64_t v : row.second)
-                putU64(payload, v);
-        }
-    }
-
-    std::string file(kMagic, sizeof(kMagic));
-    putU32(file, kFormatVersion);
-    putU64(file, key.prog);
-    putU64(file, key.params);
-    putU64(file, payload.size());
-    file += payload;
-    putU64(file, hashBytes(payload.data(), payload.size()));
-    return file;
+    StateIO payload;
+    io(payload, const_cast<RunOutcome &>(out)); // writing only reads out
+    const std::string bytes = payload.take();
+    Frame f{.key = key,
+            .payload = bytes,
+            .checksum = hashBytes(bytes.data(), bytes.size())};
+    StateIO file;
+    io(file, f);
+    return file.take();
 }
 
 bool
 decodeRunOutcome(const std::string &bytes, const RunKey &key,
                  RunOutcome &out)
 {
-    // Header: magic(8) version(4) prog(8) params(8) payloadLen(8).
-    constexpr std::size_t kHeader = 8 + 4 + 8 + 8 + 8;
-    if (bytes.size() < kHeader + 8)
-        return false;
-    if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
-        return false;
-
-    Reader hdr(bytes, sizeof(kMagic));
-    if (hdr.u32() != kFormatVersion)
-        return false;
-    if (hdr.u64() != key.prog || hdr.u64() != key.params)
-        return false;
-    std::uint64_t payloadLen = hdr.u64();
-    if (!hdr.ok() || bytes.size() != kHeader + payloadLen + 8)
+    StateIO file(bytes);
+    Frame f;
+    io(file, f);
+    if (!file.done() || f.magic != kMagic || f.version != kFormatVersion ||
+        f.key != key ||
+        f.checksum != hashBytes(f.payload.data(), f.payload.size()))
         return false;
 
-    Reader trailer(bytes, kHeader + payloadLen);
-    if (trailer.u64() !=
-        hashBytes(bytes.data() + kHeader, payloadLen))
-        return false;
-
-    Reader r(bytes, kHeader);
+    StateIO payload(f.payload);
     RunOutcome tmp;
-    tmp.result.halted = r.u32() != 0;
-    tmp.result.cycles = r.u64();
-    tmp.result.retiredUops = r.u64();
-    tmp.result.resultReg = static_cast<Word>(r.u64());
-    tmp.result.memFingerprint = r.u64();
-
-    std::uint64_t nstats = r.u64();
-    for (std::uint64_t i = 0; r.ok() && i < nstats; ++i) {
-        std::string name = r.str();
-        std::uint64_t value = r.u64();
-        if (r.ok())
-            tmp.stats.emplace(std::move(name), value);
-    }
-    std::uint64_t nhists = r.u64();
-    for (std::uint64_t i = 0; r.ok() && i < nhists; ++i) {
-        std::string name = r.str();
-        HistogramSnapshot snap;
-        snap.count = r.u64();
-        std::uint64_t nbuckets = r.u64();
-        // A bucket costs 8 payload bytes; reject counts the payload
-        // cannot hold before reserving.
-        if (!r.ok() || nbuckets > payloadLen / 8)
-            return false;
-        snap.buckets.reserve(nbuckets);
-        for (std::uint64_t b = 0; r.ok() && b < nbuckets; ++b)
-            snap.buckets.push_back(r.u64());
-        if (r.ok())
-            tmp.hists.emplace(std::move(name), std::move(snap));
-    }
-    std::uint64_t ntables = r.u64();
-    for (std::uint64_t i = 0; r.ok() && i < ntables; ++i) {
-        std::string name = r.str();
-        TableSnapshot snap;
-        std::uint64_t ncols = r.u64();
-        // A column costs at least 8 payload bytes (its name length).
-        if (!r.ok() || ncols == 0 || ncols > payloadLen / 8)
-            return false;
-        snap.columns.reserve(ncols);
-        for (std::uint64_t c = 0; r.ok() && c < ncols; ++c)
-            snap.columns.push_back(r.str());
-        std::uint64_t nrows = r.u64();
-        if (!r.ok() || nrows > payloadLen / (8 * ncols))
-            return false;
-        for (std::uint64_t rw = 0; r.ok() && rw < nrows; ++rw) {
-            std::uint64_t rowKey = r.u64();
-            std::vector<std::uint64_t> vals;
-            vals.reserve(ncols);
-            for (std::uint64_t c = 0; r.ok() && c < ncols; ++c)
-                vals.push_back(r.u64());
-            if (r.ok())
-                snap.rows.emplace(rowKey, std::move(vals));
-        }
-        if (r.ok())
-            tmp.tables.emplace(std::move(name), std::move(snap));
-    }
-    if (!r.ok() || r.pos() != kHeader + payloadLen)
+    io(payload, tmp);
+    if (!payload.done())
         return false;
-
     out = std::move(tmp);
     return true;
 }
@@ -328,7 +187,7 @@ RunService::entryPath(const RunKey &key) const
     if (dir_.empty())
         return {};
     return dir_ + "/run-" + hexKey(key.prog) + "-" + hexKey(key.params) +
-           ".v2.bin";
+           ".v" + std::to_string(kFormatVersion) + ".bin";
 }
 
 RunService &

@@ -19,9 +19,12 @@
  *    -DWISC_CACHE_DEFAULT_DIR) holding the *complete* RunOutcome —
  *    SimResult, every counter, histogram, and table — in a versioned,
  *    checksummed binary format written via tmp+rename so readers never
- *    see a partial entry. Corrupt, truncated, or version-mismatched
- *    entries are rejected (warned once each, counted) and fall back to
- *    a fresh simulation that overwrites the bad entry.
+ *    see a partial entry. The format is stated once, as StateIO walks
+ *    (common/bytes.hh) of the entry frame and of the RunOutcome that
+ *    both encode and decode run. Corrupt, truncated, or
+ *    version-mismatched entries are rejected (warned once each,
+ *    counted) and fall back to a fresh simulation that overwrites the
+ *    bad entry.
  *
  * The global() instance backs run(RunRequest). It starts as
  * a pure pass-through (no memo, no disk) so unit tests exercise real
@@ -143,9 +146,10 @@ class RunService
  *  Exposed for the corruption tests. */
 std::string encodeRunOutcome(const RunKey &key, const RunOutcome &out);
 
-/** Strict inverse of encodeRunOutcome. Returns false (and leaves out
- *  untouched) on any structural problem: short file, bad magic, version
- *  mismatch, key mismatch, checksum mismatch, or truncated payload. */
+/** Strict inverse of encodeRunOutcome, by the same walk over a reader.
+ *  Returns false (and leaves out untouched) when the reader latches —
+ *  a short file or a count past the end — on trailing bytes, and on a
+ *  bad magic, version, key or checksum. */
 bool decodeRunOutcome(const std::string &bytes, const RunKey &key,
                       RunOutcome &out);
 

@@ -116,21 +116,9 @@ AttributionEngine::onCycle(const CycleProbe &p)
 }
 
 void
-AttributionEngine::saveShadow(ByteWriter &w) const
+AttributionEngine::io(StateIO &io)
 {
-    w.b(inFlushShadow_);
-    w.u8(static_cast<std::uint8_t>(shadowCause_));
-    w.u64(shadowSeq_);
-    w.u32(shadowPc_);
-}
-
-void
-AttributionEngine::restoreShadow(ByteReader &r)
-{
-    inFlushShadow_ = r.b();
-    shadowCause_ = static_cast<FlushCause>(r.u8());
-    shadowSeq_ = r.u64();
-    shadowPc_ = r.u32();
+    io(inFlushShadow_, shadowCause_, shadowSeq_, shadowPc_);
 }
 
 void

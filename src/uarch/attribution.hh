@@ -96,17 +96,16 @@ class AttributionEngine : public ProbeSink
     void finish(Cycle totalCycles);
 
     /**
-     * Checkpoint/restore the cross-cycle flush-shadow state. A flush
-     * whose redirected work has not reached retirement can span a
-     * drained checkpoint boundary (the squashing branch itself retired,
-     * but nothing younger has); the resuming engine must keep charging
-     * those cycles to the same flush cause. Accumulated counters are
-     * deliberately *not* serialized — each leg publishes its own via
-     * finish(). Sequence numbers in the shadow stay comparable because
-     * the core checkpoints its seq allocator.
+     * Walk the cross-cycle flush-shadow state, and only that, for a
+     * checkpoint. A flush whose redirected work has not reached
+     * retirement can span a drained checkpoint boundary (the squashing
+     * branch itself retired, but nothing younger has); the resuming
+     * engine must keep charging those cycles to the same flush cause.
+     * Accumulated counters are deliberately *not* walked — each leg
+     * publishes its own via finish(). Sequence numbers in the shadow
+     * stay comparable because the core checkpoints its seq allocator.
      */
-    void saveShadow(ByteWriter &w) const;
-    void restoreShadow(ByteReader &r);
+    void io(StateIO &io);
 
   private:
     enum Cause : unsigned

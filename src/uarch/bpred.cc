@@ -260,65 +260,33 @@ IndirectTargetCache::update(std::uint32_t pc, std::uint64_t hist,
 // ---------------------------------------------------------------------
 
 void
-HybridPredictor::saveState(ByteWriter &w) const
+HybridPredictor::io(StateIO &io)
 {
-    w.u64(hist_);
-    w.vec(gshare_);
-    w.vec(pasHist_);
-    w.vec(pasPattern_);
-    w.vec(selector_);
+    io(hist_);
+    io.table(gshare_);
+    io.table(pasHist_);
+    io.table(pasPattern_);
+    io.table(selector_);
 }
 
 void
-HybridPredictor::restoreState(ByteReader &r)
+Btb::io(StateIO &io)
 {
-    hist_ = r.u64();
-    r.vec(gshare_);
-    r.vec(pasHist_);
-    r.vec(pasPattern_);
-    r.vec(selector_);
+    io(useClock_);
+    io.table(entries_);
 }
 
 void
-Btb::saveState(ByteWriter &w) const
+ReturnAddressStack::io(StateIO &io)
 {
-    w.u64(useClock_);
-    w.vec(entries_);
+    io(tos_, count_);
+    io.table(stack_);
 }
 
 void
-Btb::restoreState(ByteReader &r)
+IndirectTargetCache::io(StateIO &io)
 {
-    useClock_ = r.u64();
-    r.vec(entries_);
-}
-
-void
-ReturnAddressStack::saveState(ByteWriter &w) const
-{
-    w.u32(tos_);
-    w.u32(count_);
-    w.vec(stack_);
-}
-
-void
-ReturnAddressStack::restoreState(ByteReader &r)
-{
-    tos_ = r.u32();
-    count_ = r.u32();
-    r.vec(stack_);
-}
-
-void
-IndirectTargetCache::saveState(ByteWriter &w) const
-{
-    w.vec(targets_);
-}
-
-void
-IndirectTargetCache::restoreState(ByteReader &r)
-{
-    r.vec(targets_);
+    io.table(targets_);
 }
 
 } // namespace wisc

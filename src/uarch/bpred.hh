@@ -47,8 +47,7 @@ class HybridPredictor final : public BranchPredictorBase
     void recover(std::uint32_t pc, bool actualTaken,
                  const BpredCheckpoint &ckpt) override;
 
-    void saveState(ByteWriter &w) const override;
-    void restoreState(ByteReader &r) override;
+    void io(StateIO &io) override;
 
   private:
     std::size_t gshareIndex(std::uint32_t pc, std::uint64_t hist) const;
@@ -85,8 +84,7 @@ class Btb
     void insert(std::uint32_t pc, std::uint32_t target, WishKind wish,
                 bool isConditional);
 
-    void saveState(ByteWriter &w) const;
-    void restoreState(ByteReader &r);
+    void io(StateIO &io);
 
   private:
     std::size_t setOf(std::uint32_t pc) const;
@@ -126,8 +124,7 @@ class ReturnAddressStack
     RasCheckpoint checkpoint() const;
     void restore(const RasCheckpoint &ckpt);
 
-    void saveState(ByteWriter &w) const;
-    void restoreState(ByteReader &r);
+    void io(StateIO &io);
 
   private:
     std::vector<std::uint32_t> stack_;
@@ -149,8 +146,7 @@ class IndirectTargetCache
     void update(std::uint32_t pc, std::uint64_t hist,
                 std::uint32_t target);
 
-    void saveState(ByteWriter &w) const;
-    void restoreState(ByteReader &r);
+    void io(StateIO &io);
 
   private:
     std::size_t index(std::uint32_t pc, std::uint64_t hist) const;

@@ -82,15 +82,12 @@ class IBranchPredictor
 
     virtual std::uint64_t globalHistory() const = 0;
 
-    /** Serialize all value state — tables, histories, use clocks — for
-     *  a warm-state checkpoint. Counter handles are never serialized;
-     *  statistics stay with whichever StatSet the owner runs under. */
-    virtual void saveState(ByteWriter &w) const = 0;
-
-    /** Restore state written by saveState() into an identically
-     *  configured predictor (table geometry comes from SimParams and is
-     *  asserted, never resized, on restore). */
-    virtual void restoreState(ByteReader &r) = 0;
+    /** Walk all value state — tables, histories, use clocks — for a
+     *  warm-state checkpoint. Counter handles are never walked;
+     *  statistics stay with whichever StatSet the owner runs under.
+     *  Table geometry comes from SimParams: a restore checks it and
+     *  never resizes. */
+    virtual void io(StateIO &io) = 0;
 };
 
 /** Common global-history plumbing. Derived predictors that keep extra
@@ -133,12 +130,9 @@ class IConfidence
     virtual void update(std::uint32_t pc, std::uint64_t hist,
                         bool correct) = 0;
 
-    virtual void reset() = 0;
-
-    /** Checkpoint value state (see IBranchPredictor::saveState).
-     *  Stateless estimators (TAGE piggyback) serialize nothing. */
-    virtual void saveState(ByteWriter &w) const = 0;
-    virtual void restoreState(ByteReader &r) = 0;
+    /** Walk value state (see IBranchPredictor::io). Stateless
+     *  estimators (TAGE piggyback) walk nothing. */
+    virtual void io(StateIO &io) = 0;
 };
 
 /** Construct the direction predictor selected by params.predictor. */

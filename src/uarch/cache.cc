@@ -57,24 +57,10 @@ Cache::probe(Addr addr) const
 }
 
 void
-Cache::reset()
+Cache::io(StateIO &io)
 {
-    lines_.assign(lines_.size(), Line{});
-    useClock_ = 0;
-}
-
-void
-Cache::saveState(ByteWriter &w) const
-{
-    w.u64(useClock_);
-    w.vec(lines_);
-}
-
-void
-Cache::restoreState(ByteReader &r)
-{
-    useClock_ = r.u64();
-    r.vec(lines_);
+    io(useClock_);
+    io.table(lines_);
 }
 
 MemorySystem::MemorySystem(const SimParams &params, StatSet &stats)
@@ -171,30 +157,12 @@ MemorySystem::warmStore(Addr addr)
 }
 
 void
-MemorySystem::saveState(ByteWriter &w) const
+MemorySystem::io(StateIO &io)
 {
-    il1_.saveState(w);
-    dl1_.saveState(w);
-    l2_.saveState(w);
-    w.u64(fillsInFlight_.size());
-    for (const auto &kv : fillsInFlight_) {
-        w.u64(kv.first);
-        w.u64(kv.second);
-    }
-}
-
-void
-MemorySystem::restoreState(ByteReader &r)
-{
-    il1_.restoreState(r);
-    dl1_.restoreState(r);
-    l2_.restoreState(r);
-    fillsInFlight_.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr line = r.u64();
-        fillsInFlight_[line] = r.u64();
-    }
+    il1_.io(io);
+    dl1_.io(io);
+    l2_.io(io);
+    io.map(fillsInFlight_, [&](Addr &line, Cycle &ready) { io(line, ready); });
 }
 
 unsigned

@@ -38,12 +38,8 @@ class Cache
     /** Probe without allocating or touching LRU state. */
     bool probe(Addr addr) const;
 
-    /** Invalidate everything. */
-    void reset();
-
-    /** Serialize tag/LRU state for a warm-state checkpoint. */
-    void saveState(ByteWriter &w) const;
-    void restoreState(ByteReader &r);
+    /** Walk tag/LRU state for a warm-state checkpoint. */
+    void io(StateIO &io);
 
     std::uint32_t lineBytes() const { return params_.lineBytes; }
     std::uint32_t hitLatency() const { return params_.hitLatency; }
@@ -103,11 +99,10 @@ class MemorySystem
     void warmLoad(Addr addr);
     void warmStore(Addr addr);
 
-    /** Serialize tag/LRU state of all three caches plus the in-flight
-     *  fill ledger (ready cycles are absolute, so a restore must also
+    /** Walk tag/LRU state of all three caches plus the in-flight fill
+     *  ledger (ready cycles are absolute, so a restore must also
      *  restore the cycle clock they were recorded under). */
-    void saveState(ByteWriter &w) const;
-    void restoreState(ByteReader &r);
+    void io(StateIO &io);
 
     unsigned l1dHitLatency() const;
 

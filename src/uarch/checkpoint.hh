@@ -28,18 +28,23 @@
  * Every checkpoint is written by Core::checkpoint(): of a detailed core
  * drained by advance(), or of a core that only fast-forwarded
  * (uarch/fastfwd.hh), whose clock and allocators are still at reset.
+ * Core::ioWarmState is the one walk over the structures: checkpoint()
+ * runs it over a StateIO writer and beginRun(prog, ckpt) over a reader
+ * (common/bytes.hh), and each structure's own io() is its only
+ * statement of what it keeps.
  *
- * The blob is an in-process byte buffer (common/bytes.hh), never
- * persisted to disk; fingerprints guard against restoring into a core
- * with a different machine configuration or program image.
+ * The blob is an in-process byte buffer, never persisted to disk, so
+ * tables go in raw; fingerprints guard against restoring into a core
+ * with a different machine configuration or program image, and the
+ * restore asserts that the walk consumed every byte without latching.
  */
 
 #ifndef WISC_UARCH_CHECKPOINT_HH_
 #define WISC_UARCH_CHECKPOINT_HH_
 
 #include <cstdint>
+#include <string>
 
-#include "common/bytes.hh"
 #include "common/types.hh"
 
 namespace wisc {
@@ -61,12 +66,11 @@ struct CoreCheckpoint
     SeqNum nextSeq = 1;
     std::uint64_t nextUid = 1;
 
-    /** The serialized substrate, written by Core::checkpoint() and read
-     *  by Core::beginRun(prog, ckpt) — the one walk: ArchState,
+    /** The walked substrate (Core::ioWarmState): ArchState,
      *  MemorySystem, predictor, confidence, BTB, RAS, ITC, wish engine,
      *  the merge-point table (MergePoint machines only), and the
      *  attribution shadow (when hasAttribShadow). */
-    ByteBuffer bytes;
+    std::string bytes;
     /** The attribution flush-shadow section is present (never in a
      *  fast-forward checkpoint). */
     bool hasAttribShadow = false;

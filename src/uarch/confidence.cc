@@ -98,24 +98,10 @@ JrsConfidenceEstimator::update(std::uint32_t pc, std::uint64_t hist,
 }
 
 void
-JrsConfidenceEstimator::reset()
+JrsConfidenceEstimator::io(StateIO &io)
 {
-    entries_.assign(entries_.size(), Entry{});
-    useClock_ = 0;
-}
-
-void
-JrsConfidenceEstimator::saveState(ByteWriter &w) const
-{
-    w.u64(useClock_);
-    w.vec(entries_);
-}
-
-void
-JrsConfidenceEstimator::restoreState(ByteReader &r)
-{
-    useClock_ = r.u64();
-    r.vec(entries_);
+    io(useClock_);
+    io.table(entries_);
 }
 
 } // namespace wisc

@@ -37,10 +37,7 @@ class JrsConfidenceEstimator final : public IConfidence
     void update(std::uint32_t pc, std::uint64_t hist,
                 bool correct) override;
 
-    void reset() override;
-
-    void saveState(ByteWriter &w) const override;
-    void restoreState(ByteReader &r) override;
+    void io(StateIO &io) override;
 
   private:
     struct Entry

@@ -1804,29 +1804,37 @@ Core::beginRun(const Program &prog, const CoreCheckpoint &ckpt)
     nextUid_ = ckpt.nextUid;
     attribStartCycle_ = now_;
 
-    ByteReader r(ckpt.bytes);
-    state_.restoreState(r);
-    memsys_.restoreState(r);
-    bpred_->restoreState(r);
-    conf_->restoreState(r);
-    btb_.restoreState(r);
-    ras_.restoreState(r);
-    itc_.restoreState(r);
-    wish_.restoreState(r);
-    // The merge table is serialized only in MergePoint mode; the params
-    // fingerprint guard above makes save and restore symmetric. A
+    wisc_assert(!ckpt.hasAttribShadow || attrib_,
+                "checkpoint carries attribution shadow state but this "
+                "run does not collect attribution");
+    StateIO io(ckpt.bytes);
+    ioWarmState(io, ckpt.hasAttribShadow);
+    wisc_assert(io.done(), "checkpoint restore stopped at byte ",
+                io.pos(), " of ", ckpt.bytes.size(),
+                io.ok() ? ": save/restore walk mismatch"
+                        : ": truncated, or a table sized for another "
+                          "machine");
+}
+
+void
+Core::ioWarmState(StateIO &io, bool attribShadow)
+{
+    state_.io(io);
+    memsys_.io(io);
+    bpred_->io(io);
+    conf_->io(io);
+    btb_.io(io);
+    ras_.io(io);
+    itc_.io(io);
+    wish_.io(io);
+    // The merge table is walked only in MergePoint mode; the params
+    // fingerprint guard in beginRun makes save and restore symmetric. A
     // fast-forwarding core never writes it: beginFastForward() rejects
     // MergePoint.
     if (params_.dynPred == DynPredMode::MergePoint)
-        merge_.restoreState(r);
-    if (ckpt.hasAttribShadow) {
-        wisc_assert(attrib_,
-                    "checkpoint carries attribution shadow state but "
-                    "this run does not collect attribution");
-        attrib_->restoreShadow(r);
-    }
-    wisc_assert(r.done(), "checkpoint has ", ckpt.bytes.size() - r.pos(),
-                " trailing bytes — save/restore walk mismatch");
+        merge_.io(io);
+    if (attribShadow)
+        attrib_->io(io);
 }
 
 void
@@ -1872,21 +1880,11 @@ Core::checkpoint(CoreCheckpoint &out) const
     out.paramsFingerprint = params_.fingerprint();
     out.progFingerprint = prog_->fingerprint();
 
-    ByteWriter w;
-    state_.saveState(w);
-    memsys_.saveState(w);
-    bpred_->saveState(w);
-    conf_->saveState(w);
-    btb_.saveState(w);
-    ras_.saveState(w);
-    itc_.saveState(w);
-    wish_.saveState(w);
-    if (params_.dynPred == DynPredMode::MergePoint)
-        merge_.saveState(w);
     out.hasAttribShadow = attrib_.has_value();
-    if (attrib_)
-        attrib_->saveShadow(w);
-    out.bytes = w.take();
+    StateIO io;
+    // Writing only reads the machine.
+    const_cast<Core *>(this)->ioWarmState(io, out.hasAttribShadow);
+    out.bytes = io.take();
 }
 
 SimResult

@@ -321,6 +321,11 @@ class Core
 
     void resetMachine(const Program &prog);
 
+    /** The one checkpoint walk: checkpoint() writes it, beginRun(prog,
+     *  ckpt) reads it. 'attribShadow' includes the attribution
+     *  engine's flush shadow. */
+    void ioWarmState(StateIO &io, bool attribShadow);
+
     // Helpers.
     void fetchOne(std::uint32_t idx);
     void resolveBranch(DynInst &di);

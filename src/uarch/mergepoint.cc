@@ -128,37 +128,10 @@ MergePointTable::reset()
 }
 
 void
-MergePointTable::saveState(ByteWriter &w) const
+MergePointTable::io(StateIO &io)
 {
-    w.u64(table_.size());
-    for (const Entry &e : table_) {
-        w.b(e.valid);
-        w.u32(e.pc);
-        w.u32(e.merge);
-        w.u32(e.conf);
-        w.u8(static_cast<std::uint8_t>(e.useful));
-    }
-    w.b(tracking_);
-    w.u32(trackPc_);
-    w.u32(uopsLeft_);
-}
-
-void
-MergePointTable::restoreState(ByteReader &r)
-{
-    const std::uint64_t n = r.u64();
-    table_.assign(static_cast<std::size_t>(n), Entry{});
-    mask_ = static_cast<std::uint32_t>(table_.size()) - 1;
-    for (Entry &e : table_) {
-        e.valid = r.b();
-        e.pc = r.u32();
-        e.merge = r.u32();
-        e.conf = r.u32();
-        e.useful = static_cast<std::int8_t>(r.u8());
-    }
-    tracking_ = r.b();
-    trackPc_ = r.u32();
-    uopsLeft_ = r.u32();
+    io.table(table_);
+    io(tracking_, trackPc_, uopsLeft_);
 }
 
 } // namespace wisc

@@ -73,9 +73,8 @@ class MergePointTable
     /** Forget everything (cold table; used by Core::beginRun). */
     void reset();
 
-    /** Checkpoint/restore the full table + tracking slot. */
-    void saveState(ByteWriter &w) const;
-    void restoreState(ByteReader &r);
+    /** Walk the full table + tracking slot (checkpointing). */
+    void io(StateIO &io);
 
   private:
     struct Entry

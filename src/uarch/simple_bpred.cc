@@ -79,31 +79,17 @@ TwoLevelPredictor::train(std::uint32_t pc, bool taken,
 }
 
 void
-BimodalPredictor::saveState(ByteWriter &w) const
+BimodalPredictor::io(StateIO &io)
 {
-    w.u64(hist_);
-    w.vec(ctrs_);
+    io(hist_);
+    io.table(ctrs_);
 }
 
 void
-BimodalPredictor::restoreState(ByteReader &r)
+TwoLevelPredictor::io(StateIO &io)
 {
-    hist_ = r.u64();
-    r.vec(ctrs_);
-}
-
-void
-TwoLevelPredictor::saveState(ByteWriter &w) const
-{
-    w.u64(hist_);
-    w.vec(ctrs_);
-}
-
-void
-TwoLevelPredictor::restoreState(ByteReader &r)
-{
-    hist_ = r.u64();
-    r.vec(ctrs_);
+    io(hist_);
+    io.table(ctrs_);
 }
 
 } // namespace wisc

@@ -31,8 +31,7 @@ class BimodalPredictor final : public BranchPredictorBase
     void train(std::uint32_t pc, bool taken,
                const BpredCheckpoint &ckpt) override;
 
-    void saveState(ByteWriter &w) const override;
-    void restoreState(ByteReader &r) override;
+    void io(StateIO &io) override;
 
   private:
     std::vector<std::uint8_t> ctrs_;
@@ -48,8 +47,7 @@ class TwoLevelPredictor final : public BranchPredictorBase
     void train(std::uint32_t pc, bool taken,
                const BpredCheckpoint &ckpt) override;
 
-    void saveState(ByteWriter &w) const override;
-    void restoreState(ByteReader &r) override;
+    void io(StateIO &io) override;
 
   private:
     std::size_t indexOf(std::uint32_t pc, std::uint64_t hist) const;

@@ -271,23 +271,12 @@ TageConfidence::estimate(std::uint32_t pc, std::uint64_t hist) const
 }
 
 void
-TagePredictor::saveState(ByteWriter &w) const
+TagePredictor::io(StateIO &io)
 {
-    w.u64(hist_);
-    w.u64(trains_);
-    w.vec(base_);
-    for (const auto &t : tables_)
-        w.vec(t);
-}
-
-void
-TagePredictor::restoreState(ByteReader &r)
-{
-    hist_ = r.u64();
-    trains_ = r.u64();
-    r.vec(base_);
+    io(hist_, trains_);
+    io.table(base_);
     for (auto &t : tables_)
-        r.vec(t);
+        io.table(t);
 }
 
 } // namespace wisc

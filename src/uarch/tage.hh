@@ -71,8 +71,7 @@ class TagePredictor final : public BranchPredictorBase
     /** History length of tagged table t (geometric; for tests/docs). */
     unsigned historyLength(unsigned t) const { return histLen_[t]; }
 
-    void saveState(ByteWriter &w) const override;
-    void restoreState(ByteReader &r) override;
+    void io(StateIO &io) override;
 
   private:
     struct Entry
@@ -120,11 +119,9 @@ class TageConfidence final : public IConfidence
 
     bool estimate(std::uint32_t pc, std::uint64_t hist) const override;
     void update(std::uint32_t, std::uint64_t, bool) override {}
-    void reset() override {}
 
     /** All state lives in the predictor; nothing to checkpoint. */
-    void saveState(ByteWriter &) const override {}
-    void restoreState(ByteReader &) override {}
+    void io(StateIO &) override {}
 
   private:
     const TagePredictor &pred_;

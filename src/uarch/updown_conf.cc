@@ -54,21 +54,9 @@ UpDownConfidenceEstimator::update(std::uint32_t pc, std::uint64_t hist,
 }
 
 void
-UpDownConfidenceEstimator::reset()
+UpDownConfidenceEstimator::io(StateIO &io)
 {
-    ctrs_.assign(ctrs_.size(), 0);
-}
-
-void
-UpDownConfidenceEstimator::saveState(ByteWriter &w) const
-{
-    w.vec(ctrs_);
-}
-
-void
-UpDownConfidenceEstimator::restoreState(ByteReader &r)
-{
-    r.vec(ctrs_);
+    io.table(ctrs_);
 }
 
 } // namespace wisc

@@ -31,10 +31,8 @@ class UpDownConfidenceEstimator final : public IConfidence
     bool estimate(std::uint32_t pc, std::uint64_t hist) const override;
     void update(std::uint32_t pc, std::uint64_t hist,
                 bool correct) override;
-    void reset() override;
 
-    void saveState(ByteWriter &w) const override;
-    void restoreState(ByteReader &r) override;
+    void io(StateIO &io) override;
 
   private:
     std::size_t index(std::uint32_t pc, std::uint64_t hist) const;

@@ -4,17 +4,6 @@
 
 namespace wisc {
 
-const char *
-frontEndModeName(FrontEndMode m)
-{
-    switch (m) {
-      case FrontEndMode::Normal:   return "normal";
-      case FrontEndMode::HighConf: return "high-confidence";
-      case FrontEndMode::LowConf:  return "low-confidence";
-    }
-    return "?";
-}
-
 WishEngine::WishEngine(StatSet &stats, bool loopBias)
     : loopBias_(loopBias)
 {
@@ -32,64 +21,19 @@ WishEngine::WishEngine(StatSet &stats, bool loopBias)
 }
 
 void
-WishEngine::saveState(ByteWriter &w) const
+WishEngine::io(StateIO &io)
 {
-    w.u8(static_cast<std::uint8_t>(mode_));
-    w.b(lowConfFromLoop_);
-    w.u32(pendingTarget_);
-    for (std::int8_t v : predBuffer_)
-        w.u8(static_cast<std::uint8_t>(v));
-    for (PredIdx p : complementOf_)
-        w.u8(p);
-    w.u8(branchPred_);
-    w.u64(loopLastPred_.size());
-    for (const auto &kv : loopLastPred_) {
-        w.u32(kv.first);
-        w.b(kv.second);
-    }
-    w.u64(loopTrips_.size());
-    for (const auto &kv : loopTrips_) {
-        w.u32(kv.first);
-        w.u32(kv.second.fetchIter);
-        w.u32(kv.second.ewmaTrip4);
-        w.b(kv.second.recordedThisInstance);
-    }
-    w.u64(loopInstanceOf_.size());
-    for (const auto &kv : loopInstanceOf_) {
-        w.u32(kv.first);
-        w.u32(kv.second);
-    }
-}
-
-void
-WishEngine::restoreState(ByteReader &r)
-{
-    mode_ = static_cast<FrontEndMode>(r.u8());
-    lowConfFromLoop_ = r.b();
-    pendingTarget_ = r.u32();
+    io(mode_, lowConfFromLoop_, pendingTarget_);
     for (std::int8_t &v : predBuffer_)
-        v = static_cast<std::int8_t>(r.u8());
+        io(v);
     for (PredIdx &p : complementOf_)
-        p = r.u8();
-    branchPred_ = r.u8();
-    loopLastPred_.clear();
-    for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-        std::uint32_t pc = r.u32();
-        loopLastPred_[pc] = r.b();
-    }
-    loopTrips_.clear();
-    for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-        std::uint32_t pc = r.u32();
-        LoopTripState &t = loopTrips_[pc];
-        t.fetchIter = r.u32();
-        t.ewmaTrip4 = r.u32();
-        t.recordedThisInstance = r.b();
-    }
-    loopInstanceOf_.clear();
-    for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-        std::uint32_t pc = r.u32();
-        loopInstanceOf_[pc] = r.u32();
-    }
+        io(p);
+    io(branchPred_);
+    io.map(loopTrips_, [&](std::uint32_t &pc, LoopTripState &t) {
+        io(pc, t.fetchIter, t.ewmaTrip4, t.recordedThisInstance);
+    });
+    io.map(loopInstanceOf_,
+           [&](std::uint32_t &pc, std::uint32_t &n) { io(pc, n); });
 }
 
 void
@@ -157,7 +101,6 @@ WishEngine::onWishBranch(std::uint32_t pc, WishKind kind,
                 lt.recordedThisInstance = false;
             }
         }
-        loopLastPred_[pc] = predictorTaken;
         if (!predictorTaken)
             ++loopInstanceOf_[pc]; // front end exits this loop instance
         if (mode_ == FrontEndMode::LowConf) {
@@ -233,13 +176,6 @@ WishEngine::predictedPredicate(PredIdx p) const
     if (v < 0)
         return std::nullopt;
     return v != 0;
-}
-
-bool
-WishEngine::lastLoopPrediction(std::uint32_t pc) const
-{
-    auto it = loopLastPred_.find(pc);
-    return it != loopLastPred_.end() && it->second;
 }
 
 std::uint32_t

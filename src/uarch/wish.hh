@@ -10,9 +10,11 @@
  *    written by the same compare is predicted too (IA-64 compares write
  *    complementary pairs; Figure 3c relies on (!p1) instructions
  *    executing early when the jump is predicted not-taken);
- *  - the per-static-wish-loop last-prediction buffer used by the
- *    misprediction recovery module (§3.5.4) to distinguish early-exit,
- *    late-exit, and no-exit.
+ *  - the per-static-wish-loop tables: the loop-instance counter the
+ *    misprediction recovery module (§3.5.4) uses to tell early-exit,
+ *    late-exit and no-exit apart (it refines the paper's last-prediction
+ *    buffer), and the trip-count state of the overestimating loop
+ *    predictor (§3.2).
  */
 
 #ifndef WISC_UARCH_WISH_HH_
@@ -37,8 +39,6 @@ enum class FrontEndMode : std::uint8_t
     HighConf,
     LowConf,
 };
-
-const char *frontEndModeName(FrontEndMode m);
 
 /** Decision returned to the fetch stage for a fetched wish branch. */
 struct WishDecision
@@ -85,11 +85,10 @@ class WishEngine
      *  clears the predicate prediction buffer. */
     void onFlush();
 
-    /** Checkpoint/restore all value state: mode machine, predicate
-     *  buffer, complement map, and the per-static-loop prediction /
-     *  trip-count / instance tables. */
-    void saveState(ByteWriter &w) const;
-    void restoreState(ByteReader &r);
+    /** Walk all value state (checkpointing): mode machine, predicate
+     *  buffer, complement map, and the per-static-loop trip-count and
+     *  instance tables. */
+    void io(StateIO &io);
 
     // --- predicate dependency elimination buffer (§3.5.3) -------------
 
@@ -115,11 +114,7 @@ class WishEngine
     /** Predicted value for a source predicate, if buffered. */
     std::optional<bool> predictedPredicate(PredIdx p) const;
 
-    // --- wish loop last-prediction buffer (§3.5.4) ---------------------
-
-    /** Latest front-end prediction for the static wish loop at 'pc'
-     *  (false if never recorded). */
-    bool lastLoopPrediction(std::uint32_t pc) const;
+    // --- wish loop recovery state (§3.5.4) -----------------------------
 
     /**
      * Front-end loop-instance counter: bumped every time the front end
@@ -148,8 +143,6 @@ class WishEngine
     std::array<std::int8_t, kNumPredRegs> predBuffer_;
     /** Complement written by the same compare, kPredNone = unknown. */
     std::array<PredIdx, kNumPredRegs> complementOf_;
-    /** static wish loop pc -> last front-end prediction. */
-    std::map<std::uint32_t, bool> loopLastPred_;
 
     /** Overestimating loop predictor state (§3.2): per static loop. */
     struct LoopTripState

@@ -47,15 +47,6 @@ TEST(CacheTest, ProbeDoesNotAllocate)
     EXPECT_TRUE(c.probe(0x500));
 }
 
-TEST(CacheTest, ResetInvalidates)
-{
-    StatSet stats;
-    Cache c({1024, 2, 64, 1}, "t", stats);
-    c.access(0x100);
-    c.reset();
-    EXPECT_FALSE(c.probe(0x100));
-}
-
 TEST(MemorySystemTest, HierarchyLatencies)
 {
     SimParams p; // L1 2 cycles, L2 +6, memory +300

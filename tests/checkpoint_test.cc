@@ -16,6 +16,9 @@
  *  - fast-forward warming under FetchGate: with no wrong path, a
  *    drained detailed core and a fast-forward to the same boundary
  *    hold the same confidence-estimator state;
+ *  - restore then checkpoint: the one warm-state walk gives back the
+ *    same bytes across the fuzzer's machine matrix and a merge-point
+ *    machine with attribution;
  *  - restore guards: a checkpoint must not restore into a core with a
  *    different machine configuration or program image;
  *  - sampled-run sanity: a prefix covering the whole program degrades
@@ -229,21 +232,21 @@ TEST(Checkpoint, FastForwardInjectionKeepsArchitecturalResultsExact)
 
 /** The confidence-estimator section of a checkpoint's byte stream,
  *  located by restoring the sections before it in checkpoint order. */
-ByteBuffer
+std::string
 confSection(const CoreCheckpoint &ckpt, const SimParams &p)
 {
     StatSet s;
-    ByteReader r(ckpt.bytes);
+    StateIO io(ckpt.bytes);
     ArchState state;
-    state.restoreState(r);
+    state.io(io);
     MemorySystem mem(p, s);
-    mem.restoreState(r);
+    mem.io(io);
     std::unique_ptr<IBranchPredictor> bpred = makeBranchPredictor(p, s);
-    bpred->restoreState(r);
-    const std::size_t begin = r.pos();
-    makeConfidenceEstimator(p, s, *bpred)->restoreState(r);
-    return ByteBuffer(ckpt.bytes.begin() + begin,
-                      ckpt.bytes.begin() + r.pos());
+    bpred->io(io);
+    const std::size_t begin = io.pos();
+    makeConfidenceEstimator(p, s, *bpred)->io(io);
+    EXPECT_TRUE(io.ok());
+    return ckpt.bytes.substr(begin, io.pos() - begin);
 }
 
 TEST(Checkpoint, FetchGateFastForwardTrainsTheEstimatorLikeTheCore)
@@ -286,11 +289,51 @@ TEST(Checkpoint, FetchGateFastForwardTrainsTheEstimatorLikeTheCore)
 
     ASSERT_EQ(warmed.retiredUops, detailed.retiredUops);
     ASSERT_EQ(warmed.fetchPc, detailed.fetchPc);
-    const ByteBuffer want = confSection(detailed, sp);
-    const ByteBuffer got = confSection(warmed, sp);
+    const std::string want = confSection(detailed, sp);
+    const std::string got = confSection(warmed, sp);
     ASSERT_EQ(got.size(), want.size());
     EXPECT_TRUE(got == want)
         << "fast-forward and detailed estimator state differ";
+}
+
+TEST(Checkpoint, RestoreThenCheckpointIsByteIdentical)
+{
+    // Core::ioWarmState is one walk for both directions, so restoring a
+    // checkpoint into a fresh core and checkpointing again must give the
+    // same bytes. A walk that read a field into a temporary instead of
+    // the structure would leave the fresh core's reset value behind.
+    CompiledWorkload w = compileWorkload("gzip");
+    Program prog =
+        programFor(w, BinaryVariant::WishJumpJoinLoop, InputSet::A);
+
+    std::vector<ParamsPoint> machines = defaultParamsMatrix(true);
+    SimParams mp;
+    mp.checkFinalState = false;
+    mp.dynPred = DynPredMode::MergePoint;
+    mp.collectAttribution = true;
+    machines.push_back({"merge-point+attribution", mp});
+
+    for (const ParamsPoint &pt : machines) {
+        StatSet s1;
+        Core c1(pt.params, s1);
+        c1.beginRun(prog);
+        c1.advance(20'000, /*drain=*/true);
+        ASSERT_FALSE(c1.halted()) << pt.label;
+        CoreCheckpoint first;
+        c1.checkpoint(first);
+        c1.finishRun();
+
+        StatSet s2;
+        Core c2(pt.params, s2);
+        c2.beginRun(prog, first);
+        CoreCheckpoint second;
+        c2.checkpoint(second);
+
+        EXPECT_EQ(second.hasAttribShadow, first.hasAttribShadow)
+            << pt.label;
+        EXPECT_EQ(second.bytes.size(), first.bytes.size()) << pt.label;
+        EXPECT_TRUE(second.bytes == first.bytes) << pt.label;
+    }
 }
 
 TEST(Checkpoint, RestoreGuardsRejectMismatchedMachineAndProgram)

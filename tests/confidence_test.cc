@@ -101,16 +101,6 @@ TEST(ConfidenceTest, ZeroHistoryBitsIgnoresHistory)
         << "with 0 history bits, all contexts share one entry";
 }
 
-TEST(ConfidenceTest, ResetClearsState)
-{
-    StatSet stats;
-    JrsConfidenceEstimator c(confParams(false, 4), stats);
-    for (int i = 0; i < 8; ++i)
-        c.update(100, 0, true);
-    c.reset();
-    EXPECT_FALSE(c.estimate(100, 0));
-}
-
 TEST(ConfidenceTest, CounterSaturates)
 {
     StatSet stats;

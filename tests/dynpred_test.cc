@@ -161,13 +161,14 @@ TEST(MergePointTable, CheckpointRoundTripsMidTracking)
     t.onRetire(10, 11, true, 20); // leave a sample mid-flight
     retireLinear(t, 11, 15);
 
-    ByteWriter w;
-    t.saveState(w);
-    const ByteBuffer buf = w.take();
+    StateIO w;
+    t.io(w);
+    const std::string buf = w.take();
 
     MergePointTable u(64, 96);
-    ByteReader r(buf);
-    u.restoreState(r);
+    StateIO r(buf);
+    u.io(r);
+    ASSERT_TRUE(r.done());
 
     // The restored table finishes the interrupted walk identically.
     retireLinear(t, 15, 20);

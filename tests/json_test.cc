@@ -14,6 +14,7 @@
 #include "common/json.hh"
 #include "common/log.hh"
 #include "harness/json_writer.hh"
+#include "json_parse.hh"
 
 namespace wisc {
 namespace {
@@ -56,7 +57,7 @@ TEST(JsonValueTest, Uint64RoundTripsExactly)
     json::Value v = json::Value::object();
     v["big"] = big;
     v["odd"] = odd;
-    json::Value back = json::Value::parse(v.dump());
+    json::Value back = json::parse(v.dump());
     EXPECT_EQ(back.at("big").asUint(), big);
     EXPECT_EQ(back.at("odd").asUint(), odd);
 }
@@ -67,7 +68,7 @@ TEST(JsonValueTest, DoubleRoundTripsExactly)
     v.push(0.1);
     v.push(1.0 / 3.0);
     v.push(-2.5e-300);
-    json::Value back = json::Value::parse(v.dump());
+    json::Value back = json::parse(v.dump());
     EXPECT_EQ(back.at(std::size_t(0)).asDouble(), 0.1);
     EXPECT_EQ(back.at(std::size_t(1)).asDouble(), 1.0 / 3.0);
     EXPECT_EQ(back.at(std::size_t(2)).asDouble(), -2.5e-300);
@@ -77,13 +78,13 @@ TEST(JsonValueTest, StringEscaping)
 {
     json::Value v = json::Value::object();
     v["k"] = std::string("a\"b\\c\nd\te\x01f");
-    json::Value back = json::Value::parse(v.dump());
+    json::Value back = json::parse(v.dump());
     EXPECT_EQ(back.at("k").asString(), "a\"b\\c\nd\te\x01f");
 }
 
 TEST(JsonParseTest, AcceptsStandardDocument)
 {
-    json::Value v = json::Value::parse(
+    json::Value v = json::parse(
         "  { \"a\": [1, -2, 3.5, true, false, null],\n"
         "    \"b\": { \"nested\": \"\\u0041\\u00e9\" } } ");
     EXPECT_EQ(v.at("a").size(), 6u);
@@ -97,12 +98,12 @@ TEST(JsonParseTest, AcceptsStandardDocument)
 
 TEST(JsonParseTest, RejectsMalformedInput)
 {
-    EXPECT_THROW(json::Value::parse(""), FatalError);
-    EXPECT_THROW(json::Value::parse("{"), FatalError);
-    EXPECT_THROW(json::Value::parse("[1,]"), FatalError);
-    EXPECT_THROW(json::Value::parse("{\"a\":1} trailing"), FatalError);
-    EXPECT_THROW(json::Value::parse("tru"), FatalError);
-    EXPECT_THROW(json::Value::parse("'single'"), FatalError);
+    EXPECT_THROW(json::parse(""), FatalError);
+    EXPECT_THROW(json::parse("{"), FatalError);
+    EXPECT_THROW(json::parse("[1,]"), FatalError);
+    EXPECT_THROW(json::parse("{\"a\":1} trailing"), FatalError);
+    EXPECT_THROW(json::parse("tru"), FatalError);
+    EXPECT_THROW(json::parse("'single'"), FatalError);
 }
 
 RunOutcome
@@ -122,7 +123,7 @@ makeOutcome(std::uint64_t cycles)
 TEST(JsonWriterTest, RunOutcomeSchemaRoundTrips)
 {
     RunOutcome r = makeOutcome(1000);
-    json::Value back = json::Value::parse(toJson(r).dump());
+    json::Value back = json::parse(toJson(r).dump());
 
     EXPECT_TRUE(back.at("halted").asBool());
     EXPECT_EQ(back.at("cycles").asUint(), 1000u);
@@ -153,7 +154,7 @@ TEST(JsonWriterTest, RunOutcomeTablesSectionRoundTrips)
     t.rows[0x80] = {3, 0};
     r.tables["core.branch_profile"] = t;
 
-    json::Value back = json::Value::parse(toJson(r).dump());
+    json::Value back = json::parse(toJson(r).dump());
     const json::Value &bp = back.at("tables").at("core.branch_profile");
     EXPECT_EQ(bp.at("columns").at(std::size_t(1)).asString(), "mispred");
     ASSERT_EQ(bp.at("rows").size(), 2u);
@@ -175,7 +176,7 @@ TEST(JsonWriterTest, NormalizedResultsSchemaRoundTrips)
     r.outcomes = {{makeOutcome(90), makeOutcome(80)},
                   {makeOutcome(400), makeOutcome(200)}};
 
-    json::Value back = json::Value::parse(toJson(r).dump());
+    json::Value back = json::parse(toJson(r).dump());
 
     EXPECT_EQ(back.at("benchmarks").at(std::size_t(1)).asString(), "mcf");
     EXPECT_EQ(back.at("series").at(std::size_t(0)).asString(),
@@ -201,7 +202,7 @@ TEST(JsonWriterTest, TableExport)
 {
     Table t({"benchmark", "value"});
     t.addRow({"gzip", "1.25"});
-    json::Value back = json::Value::parse(toJson(t).dump());
+    json::Value back = json::parse(toJson(t).dump());
     EXPECT_EQ(back.at("headers").at(std::size_t(0)).asString(),
               "benchmark");
     EXPECT_EQ(back.at("rows").at(std::size_t(0)).at(std::size_t(1))

@@ -3,7 +3,8 @@
  * Tests for the run-memoization subsystem (ctest label: cache):
  * fingerprint stability and sensitivity, in-process dedup semantics,
  * persistent round-trips that are bit-identical to fresh simulations,
- * and corruption fallback (truncation, bit flips, version skew).
+ * corruption fallback (truncation, bit flips, version skew, a lying
+ * count), and the StateIO codec's byte layout and latching.
  *
  * The concurrency hammer lives in run_cache_concurrency_test.cc inside
  * the tsan-labeled wisc_parallel_tests binary.
@@ -13,14 +14,17 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include <unistd.h>
 
+#include "common/bytes.hh"
 #include "common/hash.hh"
 #include "common/log.hh"
 #include "fuzz/fuzzer.hh"
@@ -107,6 +111,123 @@ TEST(HashTest, StreamingMatchesOneShotAndChunking)
     EXPECT_EQ(whole.digest(), split.digest());
     EXPECT_EQ(whole.digest(), hashBytes(data, sizeof(data)));
     EXPECT_NE(whole.digest(), hashBytes(data, sizeof(data) - 1));
+}
+
+// ---- the codec ----------------------------------------------------------
+
+enum class Tiny : std::uint8_t { A, B = 0x7f };
+
+TEST(StateIOTest, ScalarsAreLittleEndianAtTheirOwnWidth)
+{
+    std::uint8_t u8 = 0x12;
+    std::uint16_t u16 = 0x3456;
+    std::uint32_t u32 = 0x789abcde;
+    std::uint64_t u64 = 0x0123456789abcdefull;
+    std::int8_t i8 = -2;
+    std::int64_t i64 = -3;
+    bool b = true;
+    Tiny e = Tiny::B;
+
+    StateIO w;
+    w(u8, u16, u32, u64, i8, i64, b, e);
+    const std::string bytes = w.take();
+    const std::string want("\x12"
+                           "\x56\x34"
+                           "\xde\xbc\x9a\x78"
+                           "\xef\xcd\xab\x89\x67\x45\x23\x01"
+                           "\xfe"
+                           "\xfd\xff\xff\xff\xff\xff\xff\xff"
+                           "\x01"
+                           "\x7f",
+                           1 + 2 + 4 + 8 + 1 + 8 + 1 + 1);
+    EXPECT_EQ(bytes, want);
+
+    std::uint8_t ru8 = 0;
+    std::uint16_t ru16 = 0;
+    std::uint32_t ru32 = 0;
+    std::uint64_t ru64 = 0;
+    std::int8_t ri8 = 0;
+    std::int64_t ri64 = 0;
+    bool rb = false;
+    Tiny re = Tiny::A;
+    StateIO r(bytes);
+    r(ru8, ru16, ru32, ru64, ri8, ri64, rb, re);
+    EXPECT_TRUE(r.done());
+    EXPECT_EQ(ru8, u8);
+    EXPECT_EQ(ru16, u16);
+    EXPECT_EQ(ru32, u32);
+    EXPECT_EQ(ru64, u64);
+    EXPECT_EQ(ri8, i8);
+    EXPECT_EQ(ri64, i64);
+    EXPECT_EQ(rb, b);
+    EXPECT_EQ(re, e);
+}
+
+TEST(StateIOTest, ShortStreamLatchesAndReadsZeros)
+{
+    StateIO r(std::string_view("\x01\x02\x03", 3));
+    std::uint32_t v = 99;
+    r(v);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(v, 0u);
+    // Latched: even a read the bytes left could serve yields zero.
+    std::uint8_t b = 99;
+    r(b);
+    EXPECT_EQ(b, 0u);
+    EXPECT_FALSE(r.done());
+}
+
+TEST(StateIOTest, CountPastTheEndLatchesWithoutGrowing)
+{
+    StateIO w;
+    std::uint64_t claimed = 1000; // a count is a u64
+    w(claimed);
+    const std::string bytes = w.take() + "ten bytes!";
+
+    StateIO r(bytes);
+    std::string s = "kept?";
+    r.str(s);
+    EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(s.empty());
+
+    StateIO rm(bytes);
+    std::map<std::uint64_t, std::uint64_t> m{{1, 2}};
+    rm.map(m, [&](std::uint64_t &k, std::uint64_t &v) { rm(k, v); });
+    EXPECT_FALSE(rm.ok());
+    EXPECT_TRUE(m.empty());
+
+    StateIO rs(bytes);
+    std::vector<std::uint64_t> v{7};
+    rs.seq(v, [&](std::uint64_t &e) { rs(e); });
+    EXPECT_FALSE(rs.ok());
+    EXPECT_TRUE(v.empty());
+}
+
+TEST(StateIOTest, TableSizeMismatchLatchesAndKeepsGeometry)
+{
+    std::vector<std::uint32_t> four{1, 2, 3, 4};
+    StateIO w;
+    w.table(four);
+    std::uint32_t after = 5;
+    w(after);
+    const std::string bytes = w.take();
+
+    std::vector<std::uint32_t> eight(8, 9);
+    StateIO r(bytes);
+    r.table(eight);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(eight, std::vector<std::uint32_t>(8, 9))
+        << "a mismatched table keeps the configured geometry";
+    std::uint32_t next = 99;
+    r(next);
+    EXPECT_EQ(next, 0u);
+
+    std::vector<std::uint32_t> same(4);
+    StateIO ok(bytes);
+    ok.table(same);
+    ok(after);
+    EXPECT_TRUE(ok.done());
+    EXPECT_EQ(same, four);
 }
 
 TEST(FingerprintTest, ProgramFingerprintIsStableAndContentAddressed)
@@ -425,6 +546,60 @@ TEST(RunCacheDiskTest, VersionSkewIsRejectedNotMisread)
     RunService svc(dir.path());
     RunOutcome out = svc.run(prog, SimParams{});
     EXPECT_TRUE(out.result.halted);
+    EXPECT_EQ(svc.stats().corrupt, 1u);
+    EXPECT_EQ(svc.stats().misses, 1u);
+}
+
+TEST(RunCacheDiskTest, OverLongCountIsRejectedAndResimulated)
+{
+    // The other corruption tests break the length, the checksum or the
+    // version. Here all three stay valid and only a count inside the
+    // payload lies, so decode's own bounds must catch it.
+    TempDir dir;
+    Program prog = tinyProgram(7);
+    const RunKey key{prog.fingerprint(), SimParams{}.fingerprint()};
+    RunOutcome fresh;
+    {
+        RunService svc(dir.path());
+        fresh = svc.run(prog, SimParams{});
+    }
+
+    // Frame: magic(8) version(4) prog(8) params(8) payload length(8).
+    // The payload opens with halted(4) and four u64s, then the number
+    // of stats; the checksum closes the entry.
+    constexpr std::size_t kPayload = 36;
+    constexpr std::size_t kStatCount = kPayload + 36;
+    std::string bytes = encodeRunOutcome(key, fresh);
+    const std::size_t payloadLen = bytes.size() - kPayload - 8;
+    auto readU64At = [&](std::size_t off) {
+        StateIO r(std::string_view(bytes).substr(off, 8));
+        std::uint64_t v = 0;
+        r(v);
+        return v;
+    };
+    auto writeU64At = [&](std::size_t off, std::uint64_t v) {
+        StateIO w;
+        w(v);
+        bytes.replace(off, 8, w.take());
+    };
+    ASSERT_EQ(readU64At(kPayload - 8), payloadLen);
+    ASSERT_EQ(readU64At(kStatCount), fresh.stats.size());
+    writeU64At(kStatCount, std::uint64_t(1) << 60);
+    writeU64At(bytes.size() - 8,
+               hashBytes(bytes.data() + kPayload, payloadLen));
+
+    RunOutcome scratch;
+    EXPECT_FALSE(decodeRunOutcome(bytes, key, scratch));
+
+    const std::string path = RunService(dir.path()).entryPath(key);
+    {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os.write(bytes.data(),
+                 static_cast<std::streamsize>(bytes.size()));
+    }
+    RunService svc(dir.path());
+    RunOutcome recovered = svc.run(prog, SimParams{});
+    expectOutcomesIdentical(fresh, recovered);
     EXPECT_EQ(svc.stats().corrupt, 1u);
     EXPECT_EQ(svc.stats().misses, 1u);
 }

@@ -36,16 +36,6 @@ TEST(StatsTest, CounterIsStableAcrossRegistrations)
     EXPECT_EQ(c2.value(), 1u);
 }
 
-TEST(StatsTest, ResetAll)
-{
-    StatSet s;
-    s.counter("x") += 10;
-    s.histogram("h", 4).sample(2);
-    s.resetAll();
-    EXPECT_EQ(s.get("x"), 0u);
-    EXPECT_EQ(s.histogram("h", 4).count(), 0u);
-}
-
 TEST(StatsTest, RequireIsCheckedLookup)
 {
     StatSet s;
@@ -136,15 +126,6 @@ TEST(StatsTest, ZeroColumnTableIsRejected)
 {
     StatSet s;
     EXPECT_THROW(s.table("t", {}), FatalError);
-}
-
-TEST(StatsTest, TableResetsWithTheSet)
-{
-    StatSet s;
-    StatTable &t = s.table("t", {"v"});
-    t.row(1)[0] = 9;
-    s.resetAll();
-    EXPECT_EQ(s.require<StatTable>("t").numRows(), 0u);
 }
 
 TEST(StatsTest, HistogramBucketsAndOverflow)

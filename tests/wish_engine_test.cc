@@ -166,15 +166,6 @@ TEST_F(WishEngineTest, PredicateBufferClearedByFlush)
     EXPECT_FALSE(engine_.predictedPredicate(2).has_value());
 }
 
-TEST_F(WishEngineTest, LoopRecordsLastPrediction)
-{
-    engine_.setBranchPredicate(1);
-    engine_.onWishBranch(10, WishKind::Loop, true, false, 10);
-    EXPECT_TRUE(engine_.lastLoopPrediction(10));
-    engine_.onWishBranch(10, WishKind::Loop, false, false, 10);
-    EXPECT_FALSE(engine_.lastLoopPrediction(10));
-}
-
 TEST_F(WishEngineTest, LoopInstanceBumpsOnPredictedExit)
 {
     engine_.setBranchPredicate(1);
