@@ -1,6 +1,6 @@
 /**
  * @file
- * Ablation: confidence-estimator design (DESIGN.md §5.3). Sweeps the
+ * Ablation: confidence-estimator design (DESIGN.md §5 item 1). Sweeps the
  * history length, the confidence threshold, and the cold-miss policy of
  * the JRS estimator on the benchmarks most sensitive to it. Shows why
  * the default deviates from Table 2's quoted 16-bit history: with a
@@ -11,19 +11,14 @@
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(ablation_confidence)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+ablation_confidence(BenchCli &cli)
 {
     printBanner(std::cout, "Ablation: JRS confidence estimator design",
                 "wish-jjl execution time normalized to the normal binary "
@@ -82,5 +77,3 @@ benchMain(BenchCli &cli)
     cli.addTable("table", t);
     return cli.finish();
 }
-
-} // namespace

@@ -11,18 +11,13 @@
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/experiments.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(ablation_estimators)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+ablation_estimators(BenchCli &cli)
 {
     printBanner(std::cout, "Extension: confidence estimator comparison",
                 "wish-jjl execution time normalized to the normal binary "
@@ -50,5 +45,3 @@ benchMain(BenchCli &cli)
     cli.addResults("results", r);
     return cli.finish();
 }
-
-} // namespace

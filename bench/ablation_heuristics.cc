@@ -11,19 +11,14 @@
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(ablation_heuristics)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+ablation_heuristics(BenchCli &cli)
 {
     printBanner(std::cout, "Extension: compile-time wish heuristics",
                 "wish-jjl execution time normalized to the normal "
@@ -88,5 +83,3 @@ benchMain(BenchCli &cli)
     cli.addTable("table", t);
     return cli.finish();
 }
-
-} // namespace

@@ -9,19 +9,14 @@
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(ablation_loop_bias)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+ablation_loop_bias(BenchCli &cli)
 {
     printBanner(std::cout, "Ablation: overestimating wish-loop predictor",
                 "wish-jjl relative time and loop-exit classification "
@@ -61,5 +56,3 @@ benchMain(BenchCli &cli)
     cli.addTable("table", t);
     return cli.finish();
 }
-
-} // namespace

@@ -21,12 +21,11 @@
  * front end, answering: how much of the compiler-marked win can
  * hardware recover on its own?
  *
- * Under run_matrix --smoke (WISC_SMOKE=1) the sweep drops to three
+ * Under run_matrix --smoke (cli.smoke()) the sweep drops to three
  * benchmarks on the hybrid front end only.
  */
 
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
@@ -34,14 +33,11 @@
 
 #include "common/log.hh"
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
-
-WISC_BENCH_ENTRY(dynpred_sweep)
 
 namespace {
 
@@ -99,10 +95,12 @@ geomean(const std::vector<double> &xs)
     return xs.empty() ? 0.0 : std::exp(acc / xs.size());
 }
 
+} // namespace
+
 int
-benchMain(BenchCli &cli)
+dynpred_sweep(BenchCli &cli)
 {
-    const bool smoke = std::getenv("WISC_SMOKE") != nullptr;
+    const bool smoke = cli.smoke();
     printBanner(std::cout,
                 "Dynamic predication (merge-point / fetch-gate) vs "
                 "compiler wish branches",
@@ -244,5 +242,3 @@ benchMain(BenchCli &cli)
             json::Value(static_cast<std::uint64_t>(cells.size())));
     return cli.finish();
 }
-
-} // namespace

@@ -13,19 +13,14 @@
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(fig01_input_dependence)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+fig01_input_dependence(BenchCli &cli)
 {
     printBanner(std::cout,
                 "Figure 1: predicated-code execution time vs. input set",
@@ -61,5 +56,3 @@ benchMain(BenchCli &cli)
     cli.addTable("table", t);
     return cli.finish();
 }
-
-} // namespace

@@ -26,19 +26,14 @@
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(fig02_attribution)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+fig02_attribution(BenchCli &cli)
 {
     printBanner(std::cout,
                 "Figure 2 cross-check: direct attribution vs re-run "
@@ -135,5 +130,3 @@ benchMain(BenchCli &cli)
             json::Value(static_cast<std::uint64_t>(names.size())));
     return cli.finish();
 }
-
-} // namespace

@@ -16,18 +16,13 @@
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/experiments.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(fig02_overhead_breakdown)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+fig02_overhead_breakdown(BenchCli &cli)
 {
     printBanner(std::cout,
                 "Figure 2: overhead sources of predicated execution",
@@ -59,5 +54,3 @@ benchMain(BenchCli &cli)
     cli.addResults("results", r);
     return cli.finish();
 }
-
-} // namespace

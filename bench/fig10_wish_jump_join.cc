@@ -8,18 +8,13 @@
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/experiments.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(fig10_wish_jump_join)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+fig10_wish_jump_join(BenchCli &cli)
 {
     printBanner(std::cout, "Figure 10: wish jump/join binaries",
                 "execution time normalized to the normal-branch binary "
@@ -43,5 +38,3 @@ benchMain(BenchCli &cli)
     cli.addResults("results", r);
     return cli.finish();
 }
-
-} // namespace

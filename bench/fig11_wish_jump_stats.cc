@@ -11,19 +11,14 @@
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(fig11_wish_jump_stats)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+fig11_wish_jump_stats(BenchCli &cli)
 {
     printBanner(std::cout,
                 "Figure 11: dynamic wish jumps/joins per 1M retired µops",
@@ -65,5 +60,3 @@ benchMain(BenchCli &cli)
     cli.addTable("table", t);
     return cli.finish();
 }
-
-} // namespace

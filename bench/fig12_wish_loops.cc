@@ -9,18 +9,13 @@
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/experiments.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(fig12_wish_loops)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+fig12_wish_loops(BenchCli &cli)
 {
     printBanner(std::cout, "Figure 12: wish jump/join/loop binaries",
                 "execution time normalized to the normal-branch binary "
@@ -54,5 +49,3 @@ benchMain(BenchCli &cli)
     cli.add("improvement_vs_best_pred_pct", json::Value(vsPred));
     return cli.finish();
 }
-
-} // namespace

@@ -10,19 +10,14 @@
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(fig13_wish_loop_stats)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+fig13_wish_loop_stats(BenchCli &cli)
 {
     printBanner(std::cout,
                 "Figure 13: dynamic wish loops per 1M retired µops",
@@ -61,5 +56,3 @@ benchMain(BenchCli &cli)
     cli.addTable("table", t);
     return cli.finish();
 }
-
-} // namespace

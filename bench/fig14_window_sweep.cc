@@ -8,18 +8,13 @@
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/experiments.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(fig14_window_sweep)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+fig14_window_sweep(BenchCli &cli)
 {
     printBanner(std::cout, "Figure 14: instruction window sweep",
                 "AVG / AVGnomcf execution time normalized to the "
@@ -54,5 +49,3 @@ benchMain(BenchCli &cli)
     cli.addTable("table", t);
     return cli.finish();
 }
-
-} // namespace

@@ -8,18 +8,13 @@
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/experiments.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(fig15_depth_sweep)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+fig15_depth_sweep(BenchCli &cli)
 {
     printBanner(std::cout, "Figure 15: pipeline depth sweep",
                 "AVG / AVGnomcf execution time normalized to the "
@@ -56,5 +51,3 @@ benchMain(BenchCli &cli)
     cli.addTable("table", t);
     return cli.finish();
 }
-
-} // namespace

@@ -10,18 +10,13 @@
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/experiments.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(fig16_select_uop)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+fig16_select_uop(BenchCli &cli)
 {
     printBanner(std::cout, "Figure 16: select-uop predication mechanism",
                 "execution time normalized to the normal-branch binary "
@@ -50,5 +45,3 @@ benchMain(BenchCli &cli)
     cli.addResults("results", r);
     return cli.finish();
 }
-
-} // namespace

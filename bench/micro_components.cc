@@ -85,8 +85,7 @@ void
 BM_HybridPredictor(benchmark::State &state)
 {
     SimParams params;
-    StatSet stats;
-    HybridPredictor bp(params, stats);
+    HybridPredictor bp(params);
     Rng rng(7);
     std::uint32_t pc = 100;
     for (auto _ : state) {

@@ -19,27 +19,23 @@
  * 1.0x in the TAGE columns, adaptive predication still pays when the
  * predictor is a generation better than the paper's.
  *
- * Under run_matrix --smoke (WISC_SMOKE=1) the sweep drops to three
+ * Under run_matrix --smoke (cli.smoke()) the sweep drops to three
  * benchmarks × three front ends × {normal, wish-jjl}, enough to keep
  * every factory path hot in CI without simulating all 270 cells.
  */
 
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
-
-WISC_BENCH_ENTRY(predictor_sweep)
 
 namespace {
 
@@ -83,10 +79,12 @@ geomean(const std::vector<double> &xs)
     return xs.empty() ? 0.0 : std::exp(acc / xs.size());
 }
 
+} // namespace
+
 int
-benchMain(BenchCli &cli)
+predictor_sweep(BenchCli &cli)
 {
-    const bool smoke = std::getenv("WISC_SMOKE") != nullptr;
+    const bool smoke = cli.smoke();
     printBanner(std::cout,
                 "Predictor x variant sweep: wish branches under a "
                 "stronger (and weaker) front end",
@@ -240,5 +238,3 @@ benchMain(BenchCli &cli)
             json::Value(static_cast<std::uint64_t>(cells.size())));
     return cli.finish();
 }
-
-} // namespace

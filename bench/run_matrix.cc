@@ -1,83 +1,95 @@
 /**
  * @file
- * run_matrix: the whole evaluation in one process.
+ * run_matrix: the one way to run an experiment.
  *
- * Runs every figure/table/ablation experiment of the paper's matrix
- * back-to-back inside a single process, sharing one ParallelRunner pool
- * and one RunService. Because every experiment's simulations flow
- * through the same content-addressed run cache, the (Program,
- * SimParams) pairs the standalone binaries re-simulate over and over —
- * the normal-binary baseline alone is re-run by fig01/02/10/12/13,
- * table4/5, and every ablation — execute exactly once here, and with
- * `--cache DIR` a second invocation replays the entire matrix from
- * disk.
+ * Every figure/table/ablation experiment is one bench/<name>.cc that
+ * defines `int name(BenchCli &)`, and this program is the only binary
+ * that links them. It runs the selected experiments back-to-back
+ * inside a single process, sharing one ParallelRunner pool and one
+ * RunService. Because every experiment's simulations flow through the
+ * same content-addressed run cache, the (Program, SimParams) pairs
+ * that several experiments need — the normal-binary baseline alone is
+ * run by fig01/02/10/12/13, table4/5, and every ablation — execute
+ * exactly once, and with `--cache DIR` a second invocation replays the
+ * entire matrix from disk.
  *
- * Output: each experiment prints its paper-style table to stdout as
- * usual, and `--json PATH` writes one consolidated document with every
- * experiment's section plus per-experiment and whole-matrix wall times
- * and cache counters:
+ * Output: each experiment prints its paper-style table to stdout,
+ * followed by a blank line, and the run ends with one `matrix:` line
+ * of totals. `--json PATH` writes one consolidated document with every
+ * experiment's own document plus per-experiment and whole-matrix wall
+ * times and cache counters:
  *
  *   { "bench": "run_matrix", ..., "experiments": [ <per-bench docs> ],
  *     "experiment_wall_seconds": {name: t, ...},
  *     "cache_hits": H, "cache_misses": M, "dedup_hits": D }
  *
- * `--smoke` runs a reduced schedule as a ctest smoke target; `--only
- * a,b,c` selects experiments by name. `--shard I/N` keeps every Nth
- * experiment starting at the Ith: N processes started with the same
- * `--cache DIR` split the matrix between them, and the directory's
- * tmp-file + rename writes keep it consistent under that sharing.
+ * `--only a,b,c` selects experiments by name (`--only NAME` is the
+ * single-experiment command). `--smoke` runs the reduced schedule and
+ * hands each experiment a smoke bit (BenchCli::smoke()), which
+ * predictor_sweep, dynpred_sweep and sampling_validation use to shrink
+ * themselves. `--shard I/N` keeps every Nth experiment starting at the
+ * Ith: N processes started with the same `--cache DIR` split the
+ * matrix between them, and the directory's tmp-file + rename writes
+ * keep it consistent under that sharing.
  */
 
+#include <algorithm>
 #include <charconv>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/log.hh"
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 
 using namespace wisc;
 
+/** Every experiment in schedule order, cheap structural checks first
+ *  so a broken build fails fast; the second column puts it in the
+ *  reduced --smoke schedule. The smoke rows exercise the shared pool
+ *  and cross-experiment dedup (fig13's runs coalesce with fig11's
+ *  baseline) and every smoke-aware experiment, in a few seconds. */
+#define WISC_EXPERIMENTS(X)                                                \
+    X(table3_binaries, true)                                               \
+    X(table4_benchmarks, false)                                            \
+    X(fig01_input_dependence, false)                                       \
+    X(fig02_overhead_breakdown, false)                                     \
+    X(fig02_attribution, false)                                            \
+    X(fig10_wish_jump_join, false)                                         \
+    X(fig11_wish_jump_stats, true)                                         \
+    X(fig12_wish_loops, false)                                             \
+    X(fig13_wish_loop_stats, true)                                         \
+    X(fig14_window_sweep, false)                                           \
+    X(fig15_depth_sweep, false)                                            \
+    X(fig16_select_uop, false)                                             \
+    X(table5_best_binary, false)                                           \
+    X(ablation_confidence, false)                                          \
+    X(ablation_estimators, false)                                          \
+    X(ablation_heuristics, false)                                          \
+    X(ablation_loop_bias, false)                                           \
+    X(predictor_sweep, true)                                               \
+    X(dynpred_sweep, true)                                                 \
+    X(sampling_validation, true)
+
+// Each experiment TU defines its entry point; one left out of the
+// build fails the link.
+#define X(name, inSmoke) int name(BenchCli &cli);
+WISC_EXPERIMENTS(X)
+#undef X
+
 namespace {
 
-/** Every experiment, cheap structural checks first so a broken build
- *  fails fast. This is the schedule; the registry is the phone book. */
-const char *const kMatrix[] = {
-    "table3_binaries",
-    "table4_benchmarks",
-    "fig01_input_dependence",
-    "fig02_overhead_breakdown",
-    "fig02_attribution",
-    "fig10_wish_jump_join",
-    "fig11_wish_jump_stats",
-    "fig12_wish_loops",
-    "fig13_wish_loop_stats",
-    "fig14_window_sweep",
-    "fig15_depth_sweep",
-    "fig16_select_uop",
-    "table5_best_binary",
-    "ablation_confidence",
-    "ablation_estimators",
-    "ablation_heuristics",
-    "ablation_loop_bias",
-    "predictor_sweep",
-    "dynpred_sweep",
-    "sampling_validation",
+struct Experiment
+{
+    const char *name;
+    int (*run)(BenchCli &);
+    bool inSmoke;
 };
 
-/** Reduced schedule for CI: exercises the registry, the shared pool,
- *  and cross-experiment dedup (fig13's runs coalesce with fig11's
- *  baseline and table4's wish runs) in a few seconds. */
-const char *const kSmoke[] = {
-    "table3_binaries",
-    "fig11_wish_jump_stats",
-    "fig13_wish_loop_stats",
-    "predictor_sweep",
-    "dynpred_sweep",
-    "sampling_validation",
+const Experiment kExperiments[] = {
+#define X(name, inSmoke) {#name, &name, inSmoke},
+    WISC_EXPERIMENTS(X)
+#undef X
 };
 
 int
@@ -85,23 +97,26 @@ usage(int code)
 {
     std::cout <<
         "usage: run_matrix [--smoke] [--only NAME[,NAME...]] [--list]\n"
-        "                  [--json PATH] [--cache DIR | --no-cache]\n"
-        "                  [--shard I/N]\n"
+        "                  [--json PATH] [--cache DIR] [--shard I/N]\n"
         "\n"
-        "Runs the full figure/table/ablation matrix in one process with\n"
+        "Runs the figure/table/ablation experiments in one process with\n"
         "a shared simulation-result cache, so identical runs across\n"
         "experiments execute once.\n"
         "\n"
-        "  --smoke       reduced schedule (ctest smoke target)\n"
-        "  --only CSV    run only the named experiments, in matrix order\n"
+        "  --smoke       reduced schedule, and reduced experiments\n"
+        "                (ctest smoke target)\n"
+        "  --only CSV    run only the named experiments, each named\n"
+        "                once, in matrix order\n"
         "  --list        print the schedule and exit\n"
         "  --json PATH   write one consolidated JSON document\n"
-        "  --cache DIR   persistent run cache (WISC_CACHE_DIR fallback);\n"
-        "                a second run replays the matrix from disk\n"
-        "  --no-cache    ignore WISC_CACHE_DIR / compiled-in default\n"
+        "  --cache DIR   persistent run cache; a second run replays the\n"
+        "                matrix from disk\n"
         "  --shard I/N   run only every Nth experiment starting at the\n"
         "                Ith (1-based); N processes given the same\n"
-        "                --cache DIR split the matrix between them\n";
+        "                --cache DIR split the matrix between them\n"
+        "\n"
+        "  WISC_JOBS=N   worker threads for the simulation sweep\n"
+        "                (default: all cores)\n";
     return code;
 }
 
@@ -115,6 +130,32 @@ splitCsv(const std::string &s)
         if (!item.empty())
             out.push_back(item);
     return out;
+}
+
+/** An --only list names each experiment at most once, and only ones
+ *  in the matrix; prints why it does not and returns false. */
+bool
+checkOnly(const std::vector<std::string> &only)
+{
+    if (only.empty()) {
+        std::cerr << "run_matrix: --only needs at least one experiment "
+                     "name (see --list)\n";
+        return false;
+    }
+    for (auto it = only.begin(); it != only.end(); ++it) {
+        if (std::none_of(std::begin(kExperiments), std::end(kExperiments),
+                         [&](const Experiment &e) { return *it == e.name; })) {
+            std::cerr << "run_matrix: unknown experiment '" << *it
+                      << "' in --only (see --list)\n";
+            return false;
+        }
+        if (std::find(only.begin(), it, *it) != it) {
+            std::cerr << "run_matrix: experiment '" << *it
+                      << "' named twice in --only\n";
+            return false;
+        }
+    }
+    return true;
 }
 
 /** Strict unsigned decimal: digits only (from_chars takes no sign or
@@ -158,6 +199,8 @@ main(int argc, char **argv)
                 return 2;
             }
             only = splitCsv(argv[++i]);
+            if (!checkOnly(only))
+                return 2;
         } else if (a == "--shard") {
             if (i + 1 >= argc ||
                 !parseShard(argv[i + 1], shardIndex, shardCount)) {
@@ -167,8 +210,8 @@ main(int argc, char **argv)
             }
             ++i;
         } else if (a == "--list") {
-            for (const char *name : kMatrix)
-                std::cout << name << "\n";
+            for (const Experiment &e : kExperiments)
+                std::cout << e.name << "\n";
             return 0;
         } else if (a == "--help" || a == "-h") {
             return usage(0);
@@ -177,35 +220,23 @@ main(int argc, char **argv)
         }
     }
 
-    // Experiments with an internal smoke reduction (predictor_sweep)
-    // key off this; flags do not flow through the registry interface.
-    if (smoke)
-        setenv("WISC_SMOKE", "1", 1);
-
     // The top-level CLI owns the consolidated document, the matrix-wide
-    // timer, and the cache configuration (--json/--cache/--no-cache).
+    // timer, and the cache configuration (--json/--cache).
     BenchCli cli(static_cast<int>(passArgv.size()), passArgv.data(),
                  "run_matrix");
 
-    std::vector<std::string> schedule;
-    if (!only.empty()) {
-        for (const char *name : kMatrix)
-            for (const std::string &o : only)
-                if (o == name)
-                    schedule.push_back(name);
-        if (schedule.size() != only.size()) {
-            std::cerr << "run_matrix: unknown experiment in --only "
-                         "(see --list)\n";
-            return 2;
-        }
-    } else if (smoke) {
-        schedule.assign(std::begin(kSmoke), std::end(kSmoke));
-    } else {
-        schedule.assign(std::begin(kMatrix), std::end(kMatrix));
+    std::vector<const Experiment *> schedule;
+    for (const Experiment &e : kExperiments) {
+        const bool wanted =
+            only.empty() ? !smoke || e.inSmoke
+                         : std::find(only.begin(), only.end(), e.name) !=
+                               only.end();
+        if (wanted)
+            schedule.push_back(&e);
     }
 
     if (shardCount > 1) {
-        std::vector<std::string> mine;
+        std::vector<const Experiment *> mine;
         for (std::size_t j = shardIndex - 1; j < schedule.size();
              j += shardCount)
             mine.push_back(schedule[j]);
@@ -224,19 +255,14 @@ main(int argc, char **argv)
     json::Value experiments = json::Value::array();
     json::Value wallByExperiment = json::Value::object();
     int firstFailure = 0;
-    for (const std::string &name : schedule) {
-        BenchFn fn = findBench(name);
-        if (!fn)
-            wisc_fatal("experiment '", name,
-                       "' is not linked into run_matrix");
-
-        BenchCli sub(name); // embedded: document only, no file
-        int rc = fn(sub);
+    for (const Experiment *e : schedule) {
+        BenchCli sub(e->name, smoke); // embedded: document only, no file
+        int rc = e->run(sub);
         if (rc != 0 && firstFailure == 0)
             firstFailure = rc;
 
         cli.noteSimulated(sub.simulatedUops(), sub.simulatedCycles());
-        wallByExperiment[name] = sub.elapsedSeconds();
+        wallByExperiment[e->name] = sub.elapsedSeconds();
         experiments.push(sub.document());
         std::cout << "\n";
     }

@@ -16,32 +16,29 @@
  * their outer trip counts scaled up (programFor's tripScale) so the
  * stationary part dominates — the regime sampling assumes.
  *
- * `WISC_SMOKE=1` (set by `run_matrix --smoke` and the sampling ctest
- * entry) reduces to two kernels at a small trip scale (where sampling
- * degenerates toward full detail — the smoke entry validates plumbing
- * and exactness invariants, not the statistics). Optimized non-smoke
+ * `run_matrix --smoke` (cli.smoke(); the sampling ctest entry runs
+ * `--smoke --only sampling_validation`) reduces to two kernels at a
+ * small trip scale (where sampling degenerates toward full detail —
+ * the smoke entry validates plumbing and exactness invariants, not
+ * the statistics). Optimized non-smoke
  * runs enforce the acceptance floor: geomean CPI error <= 2%,
  * aggregate speedup >= 10x.
  */
 
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "arch/emulator.hh"
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
 #include "uarch/fastfwd.hh"
 #include "workloads/workload.hh"
 
 using namespace wisc;
-
-WISC_BENCH_ENTRY(sampling_validation)
 
 namespace {
 
@@ -52,10 +49,12 @@ seconds(std::chrono::steady_clock::time_point a,
     return std::chrono::duration<double>(b - a).count();
 }
 
+} // namespace
+
 int
-benchMain(BenchCli &cli)
+sampling_validation(BenchCli &cli)
 {
-    const bool smoke = std::getenv("WISC_SMOKE") != nullptr;
+    const bool smoke = cli.smoke();
     printBanner(std::cout, "Sampled-simulation validation",
                 "full vs sampled runs, wish-jjl binaries, input A");
 
@@ -210,5 +209,3 @@ benchMain(BenchCli &cli)
 #endif
     return cli.finish();
 }
-
-} // namespace

@@ -10,19 +10,14 @@
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(table3_binaries)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+table3_binaries(BenchCli &cli)
 {
     printBanner(std::cout, "Table 3: compiled binary variants",
                 "static instruction and branch composition per variant");
@@ -53,5 +48,3 @@ benchMain(BenchCli &cli)
     cli.addTable("table", t);
     return cli.finish();
 }
-
-} // namespace

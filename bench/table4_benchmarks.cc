@@ -10,19 +10,14 @@
 
 #include "arch/emulator.hh"
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(table4_benchmarks)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+table4_benchmarks(BenchCli &cli)
 {
     printBanner(std::cout, "Table 4: simulated benchmarks",
                 "normal binary characteristics (input A) and wish "
@@ -90,5 +85,3 @@ benchMain(BenchCli &cli)
     cli.addTable("table", t);
     return cli.finish();
 }
-
-} // namespace

@@ -12,19 +12,14 @@
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(table5_best_binary)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+table5_best_binary(BenchCli &cli)
 {
     printBanner(std::cout,
                 "Table 5: wish jump/join/loop vs best per-benchmark "
@@ -92,5 +87,3 @@ benchMain(BenchCli &cli)
     cli.addTable("table", t);
     return cli.finish();
 }
-
-} // namespace

@@ -18,6 +18,8 @@
  * no longer exhibits the failure, 2 when it still reproduces.
  */
 
+#include <charconv>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -42,6 +44,25 @@ usage(std::ostream &os, const char *argv0, int code)
     return code;
 }
 
+/** Parse a whole decimal count: digits only (from_chars takes no sign
+ *  or space for an unsigned type), no overflow, nothing after. */
+template <typename T>
+bool
+parseCount(const char *s, T &out)
+{
+    const char *last = s + std::strlen(s);
+    auto [end, ec] = std::from_chars(s, last, out);
+    return ec == std::errc() && end == last;
+}
+
+int
+badCount(const char *argv0, const std::string &flag, const char *value)
+{
+    std::cerr << flag << " wants a decimal count, got '" << value
+              << "'\n";
+    return usage(std::cerr, argv0, 2);
+}
+
 } // namespace
 
 int
@@ -64,12 +85,13 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        if (a == "--seed")
-            opts.seed = std::strtoull(value("--seed"), nullptr, 0);
-        else if (a == "--runs")
-            opts.runs = static_cast<unsigned>(
-                std::strtoul(value("--runs"), nullptr, 0));
-        else if (a == "--matrix")
+        if (a == "--seed") {
+            if (!parseCount(value("--seed"), opts.seed))
+                return badCount(argv[0], a, argv[i]);
+        } else if (a == "--runs") {
+            if (!parseCount(value("--runs"), opts.runs))
+                return badCount(argv[0], a, argv[i]);
+        } else if (a == "--matrix")
             matrixName = value("--matrix");
         else if (a == "--emu-only")
             opts.runCore = false;

@@ -55,6 +55,16 @@ satDecrement(std::uint8_t &ctr)
         --ctr;
 }
 
+/** 2-bit saturating counter update. */
+inline void
+train2bit(std::uint8_t &ctr, bool taken)
+{
+    if (taken)
+        satIncrement(ctr, 2);
+    else
+        satDecrement(ctr);
+}
+
 } // namespace wisc
 
 #endif // WISC_COMMON_BITUTIL_HH_

@@ -1,7 +1,7 @@
 /**
  * @file
  * Small JSON document model used by the experiment harness to emit
- * machine-readable results (`--json` / WISC_RESULTS_JSON).
+ * machine-readable results (`--json`).
  *
  * Design goals, in order: (1) exact round-tripping of uint64 counters —
  * cycle and event counts must not pass through a double; (2) a

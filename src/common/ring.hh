@@ -36,7 +36,6 @@ class RingBuffer
     }
 
     std::size_t size() const { return count_; }
-    std::size_t capacity() const { return slots_.size(); }
     bool empty() const { return count_ == 0; }
 
     /** Reinitialize the slot past the back to T{} and return it. */

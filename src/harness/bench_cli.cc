@@ -12,84 +12,40 @@ namespace wisc {
 
 namespace {
 
-/** One command-line flag: its spelling, argument placeholder (nullptr
- *  for plain switches), help text, and where the parsed value lands in
- *  the OutputSpec. The same table drives parsing and --help, so the
- *  two cannot disagree. */
+/** One command-line flag: its spelling, argument placeholder, help
+ *  text, and where the parsed value lands in the OutputSpec. The same
+ *  table drives parsing and --help, so the two cannot disagree. */
 struct FlagDesc
 {
     const char *flag;
-    const char *arg;  ///< placeholder name, or nullptr for a switch
+    const char *arg;
     const char *help;
-    std::string OutputSpec::*strField; ///< set for argument flags
-    bool OutputSpec::*boolField;       ///< set for switches
+    std::string OutputSpec::*field;
 };
 
 constexpr FlagDesc kFlags[] = {
-    {"--json", "PATH",
-     "also write the results as JSON (WISC_RESULTS_JSON env\n"
-     "variable is the fallback destination)",
-     &OutputSpec::jsonPath, nullptr},
+    {"--json", "PATH", "also write the results as JSON",
+     &OutputSpec::jsonPath},
     {"--cache", "DIR",
-     "persist simulation results in a content-addressed cache\n"
-     "(WISC_CACHE_DIR env variable is the fallback)",
-     &OutputSpec::cacheDir, nullptr},
-    {"--no-cache", nullptr,
-     "ignore WISC_CACHE_DIR and any compiled-in default", nullptr,
-     &OutputSpec::noCache},
+     "persist simulation results in a content-addressed cache",
+     &OutputSpec::cacheDir},
 };
 
 void
 printUsage(const std::string &name)
 {
     std::cout << "usage: " << name;
-    for (const FlagDesc &f : kFlags) {
-        std::cout << " [" << f.flag;
-        if (f.arg)
-            std::cout << ' ' << f.arg;
-        std::cout << ']';
-    }
+    for (const FlagDesc &f : kFlags)
+        std::cout << " [" << f.flag << ' ' << f.arg << ']';
     std::cout << "\n\n";
     for (const FlagDesc &f : kFlags) {
-        std::string head = f.flag;
-        if (f.arg)
-            head += std::string(" ") + f.arg;
-        std::cout << "  " << head;
-        // Two-column layout: pad the head, indent continuation lines.
-        const std::size_t col = 22;
-        std::size_t used = 2 + head.size();
-        if (used < col)
-            std::cout << std::string(col - used, ' ');
-        else
-            std::cout << "\n" << std::string(col, ' ');
-        for (const char *c = f.help; *c; ++c) {
-            std::cout << *c;
-            if (*c == '\n')
-                std::cout << std::string(col, ' ');
-        }
-        std::cout << "\n";
+        // Two-column layout: the help text starts at column 22.
+        std::string head = std::string(f.flag) + ' ' + f.arg;
+        head.resize(20, ' ');
+        std::cout << "  " << head << f.help << "\n";
     }
     std::cout << "\n  WISC_JOBS=N           worker threads for the "
                  "simulation sweep (default: all cores)\n";
-}
-
-/** Resolve the persistent-cache directory: flag > WISC_CACHE_DIR >
- *  compiled-in default ("" = persistent layer off). */
-std::string
-resolveCacheDir(const OutputSpec &spec)
-{
-    if (spec.noCache)
-        return {};
-    if (!spec.cacheDir.empty())
-        return spec.cacheDir;
-    if (const char *env = std::getenv("WISC_CACHE_DIR"))
-        if (*env)
-            return env;
-#ifdef WISC_CACHE_DEFAULT_DIR
-    return WISC_CACHE_DEFAULT_DIR;
-#else
-    return {};
-#endif
 }
 
 } // namespace
@@ -113,20 +69,13 @@ OutputSpec::parse(int argc, char **argv, const std::string &name)
                       << "' (try --help)\n";
             std::exit(2);
         }
-        if (match->strField) {
-            if (i + 1 >= argc) {
-                std::cerr << name << ": " << match->flag << " requires "
-                          << match->arg << "\n";
-                std::exit(2);
-            }
-            spec.*(match->strField) = argv[++i];
-        } else {
-            spec.*(match->boolField) = true;
+        if (i + 1 >= argc) {
+            std::cerr << name << ": " << match->flag << " requires "
+                      << match->arg << "\n";
+            std::exit(2);
         }
+        spec.*(match->field) = argv[++i];
     }
-    if (spec.jsonPath.empty())
-        if (const char *env = std::getenv("WISC_RESULTS_JSON"))
-            spec.jsonPath = env;
     return spec;
 }
 
@@ -138,15 +87,16 @@ BenchCli::BenchCli(int argc, char **argv, std::string name)
     // layer when a directory is configured.
     RunService &svc = RunService::global();
     svc.setMemoize(true);
-    svc.setCacheDir(resolveCacheDir(spec_));
+    svc.setCacheDir(spec_.cacheDir);
     cacheStart_ = svc.stats();
 
     doc_["bench"] = name_;
     doc_["schema_version"] = 1u;
 }
 
-BenchCli::BenchCli(std::string name)
-    : name_(std::move(name)), start_(std::chrono::steady_clock::now())
+BenchCli::BenchCli(std::string name, bool smoke)
+    : name_(std::move(name)), smoke_(smoke),
+      start_(std::chrono::steady_clock::now())
 {
     RunService &svc = RunService::global();
     svc.setMemoize(true);

@@ -1,20 +1,18 @@
 /**
  * @file
- * Shared command line for the bench/ experiment binaries.
+ * Shared command line and results document for bench/run_matrix and
+ * the bench tools (micro_simspeed, wisc_fuzz).
  *
  * Every output-related option lives in one place — OutputSpec — parsed
- * from one flag table that also generates the --help text, so the
- * experiment binaries cannot drift apart:
+ * from one flag table that also generates the --help text. These are
+ * the only flags it reads, and it reads no environment variable:
  *
- *   --json PATH       structured results document (fallback: the
- *                     WISC_RESULTS_JSON environment variable)
- *   --cache DIR       persistent run cache (fallback: WISC_CACHE_DIR,
- *                     then the compiled-in -DWISC_CACHE_DEFAULT_DIR)
- *   --no-cache        disable the persistent layer entirely
+ *   --json PATH       structured results document
+ *   --cache DIR       persistent run cache
  *
- * Every bench binary prints its paper-style table to stdout exactly as
- * before; on top of that, a JSON destination writes a structured
- * document:
+ * Each BenchCli builds one structured document, which finish() writes
+ * to the --json destination; run_matrix nests each experiment's
+ * document in its own:
  *
  *   { "bench": name, "schema_version": 1, "jobs": N,
  *     "wall_seconds": t,
@@ -27,8 +25,8 @@
  * even when many experiments share one process (bench/run_matrix).
  *
  * Constructing a BenchCli also opts the process into the run cache:
- * in-process dedup always, and the persistent layer when a directory
- * is configured (`--no-cache` wins over everything).
+ * in-process dedup always, and the persistent layer when `--cache`
+ * names a directory.
  *
  * A benchmark whose results flow through addResults() — or that calls
  * noteSimulated() itself — also gets "simulated_uops",
@@ -58,12 +56,11 @@ namespace wisc {
  */
 struct OutputSpec
 {
-    std::string jsonPath;  ///< --json / WISC_RESULTS_JSON ("" = none)
-    std::string cacheDir;  ///< --cache (before env/default resolution)
-    bool noCache = false;  ///< --no-cache: kill the persistent layer
+    std::string jsonPath; ///< --json ("" = none)
+    std::string cacheDir; ///< --cache ("" = persistent layer off)
 
-    /** Parse argv (env fallbacks applied); prints usage and exits on
-     *  --help (0) or an unknown flag (2). */
+    /** Parse argv; prints usage and exits on --help (0) or an unknown
+     *  flag (2). */
     static OutputSpec parse(int argc, char **argv,
                             const std::string &name);
 };
@@ -76,18 +73,15 @@ class BenchCli
     BenchCli(int argc, char **argv, std::string name);
 
     /**
-     * Embedded constructor (no argv): used by orchestrators like
-     * bench/run_matrix that run many experiments in one process. The
-     * document is built as usual but finish() never writes a file —
-     * the orchestrator collects it via document().
+     * Embedded constructor (no argv): bench/run_matrix gives one to
+     * each experiment it runs. The document is built as usual but
+     * finish() never writes a file — run_matrix collects it via
+     * document(). `smoke` asks the experiment for its reduced form.
      */
-    explicit BenchCli(std::string name);
+    BenchCli(std::string name, bool smoke);
 
-    /** The parsed output configuration. */
-    const OutputSpec &output() const { return spec_; }
-
-    /** True when a --json/WISC_RESULTS_JSON destination is set. */
-    bool jsonRequested() const { return !spec_.jsonPath.empty(); }
+    /** True when run_matrix --smoke asked for the reduced experiment. */
+    bool smoke() const { return smoke_; }
 
     /** Attach a section to the emitted document. */
     void add(const std::string &key, json::Value v);
@@ -124,6 +118,7 @@ class BenchCli
 
     std::string name_;
     OutputSpec spec_;
+    bool smoke_ = false;
     json::Value doc_ = json::Value::object();
     std::chrono::steady_clock::time_point start_;
     RunCacheStats cacheStart_; ///< global-service counters at start

@@ -4,18 +4,6 @@
 
 namespace wisc {
 
-const char *
-flushCauseName(FlushCause c)
-{
-    switch (c) {
-      case FlushCause::Normal:         return "normal";
-      case FlushCause::WishHighConf:   return "wish_high";
-      case FlushCause::WishLoopEarly:  return "loop_early";
-      case FlushCause::WishLoopNoExit: return "loop_noexit";
-    }
-    return "?";
-}
-
 AttributionEngine::AttributionEngine(StatSet &stats, bool cpiStack,
                                      bool branchProfile)
     : stats_(stats), cpiStack_(cpiStack), branchProfile_(branchProfile)

@@ -5,21 +5,7 @@
 
 namespace wisc {
 
-namespace {
-
-/** 2-bit saturating counter update. */
-void
-train2bit(std::uint8_t &ctr, bool taken)
-{
-    if (taken)
-        satIncrement(ctr, 2);
-    else
-        satDecrement(ctr);
-}
-
-} // namespace
-
-HybridPredictor::HybridPredictor(const SimParams &params, StatSet &stats)
+HybridPredictor::HybridPredictor(const SimParams &params)
     : params_(params)
 {
     wisc_assert(isPow2(params.gshareEntries) &&
@@ -31,7 +17,6 @@ HybridPredictor::HybridPredictor(const SimParams &params, StatSet &stats)
     pasHist_.assign(params.pasHistEntries, 0);
     pasPattern_.assign(params.pasPatternEntries, 2);
     selector_.assign(params.selectorEntries, 2); // weakly prefer gshare
-    (void)stats;
 }
 
 std::size_t
@@ -226,13 +211,11 @@ ReturnAddressStack::restore(const RasCheckpoint &ckpt)
 }
 
 IndirectTargetCache::IndirectTargetCache(unsigned entries,
-                                         unsigned histBits,
-                                         StatSet &stats)
+                                         unsigned histBits)
     : histMask_(maskBits(histBits))
 {
     wisc_assert(isPow2(entries), "indirect cache must be a power of two");
     targets_.assign(entries, 0);
-    (void)stats;
 }
 
 std::size_t

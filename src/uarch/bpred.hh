@@ -29,7 +29,7 @@ namespace wisc {
 class HybridPredictor final : public BranchPredictorBase
 {
   public:
-    HybridPredictor(const SimParams &params, StatSet &stats);
+    explicit HybridPredictor(const SimParams &params);
 
     /** Predict the branch at 'pc' (instruction index). Also returns the
      *  checkpoint the caller must keep for recovery. */
@@ -139,8 +139,7 @@ class ReturnAddressStack
 class IndirectTargetCache
 {
   public:
-    IndirectTargetCache(unsigned entries, unsigned histBits,
-                        StatSet &stats);
+    IndirectTargetCache(unsigned entries, unsigned histBits);
 
     std::uint32_t predict(std::uint32_t pc, std::uint64_t hist) const;
     void update(std::uint32_t pc, std::uint64_t hist,

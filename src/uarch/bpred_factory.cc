@@ -21,11 +21,11 @@ makeBranchPredictor(const SimParams &params, StatSet &stats)
 {
     switch (params.predictor) {
       case PredictorKind::Hybrid:
-        return std::make_unique<HybridPredictor>(params, stats);
+        return std::make_unique<HybridPredictor>(params);
       case PredictorKind::Bimodal:
-        return std::make_unique<BimodalPredictor>(params, stats);
+        return std::make_unique<BimodalPredictor>(params);
       case PredictorKind::TwoLevel:
-        return std::make_unique<TwoLevelPredictor>(params, stats);
+        return std::make_unique<TwoLevelPredictor>(params);
       case PredictorKind::Tage:
         return std::make_unique<TagePredictor>(params, stats);
     }

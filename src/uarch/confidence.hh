@@ -2,7 +2,8 @@
  * @file
  * The JRS confidence estimator (Jacobsen, Rotenberg & Smith, MICRO-29),
  * as configured in Table 2: a 1 KB, tagged, 4-way table of miss distance
- * counters indexed by (pc ^ 16-bit global branch history).
+ * counters indexed by (pc ^ global branch history). The default history
+ * is 8 bits, not Table 2's 16 (DESIGN.md §5 item 1).
  *
  * A prediction is high-confidence when the entry's saturating counter
  * has reached the threshold: the counter increments on each correct

@@ -42,7 +42,7 @@ Core::Core(const SimParams &params, StatSet &stats)
       bpred_(makeBranchPredictor(params, stats)),
       btb_(params, stats),
       ras_(params.rasEntries),
-      itc_(params.indirectEntries, params.indirectHistBits, stats),
+      itc_(params.indirectEntries, params.indirectHistBits),
       conf_(makeConfidenceEstimator(params, stats, *bpred_)),
       wish_(stats, params.wishLoopBias),
       merge_(params.dynMergeEntries, params.dynMergeTrackUops)

@@ -307,9 +307,6 @@ class Core
      *  predictable untaken branch. */
     void addSink(ProbeSink *s);
 
-    /** Detach every sink. */
-    void clearSinks() { nsinks_ = 0; }
-
   private:
     // Pipeline stages (called once per cycle, back to front).
     void stageRetire();

@@ -4,9 +4,10 @@
  * Table 2: 8-wide fetch/decode/rename/execute/retire, 512-entry reorder
  * buffer, 64 KB 4-way 2-cycle L1 caches, 1 MB 8-way 6-cycle L2, 300-cycle
  * memory, a 64K-entry gshare/PAs hybrid with 64K-entry selector, 4K-entry
- * BTB, 64-entry RAS, and a 1 KB tagged 4-way 16-bit-history JRS
- * confidence estimator. The minimum branch misprediction penalty is
- * ~30 cycles at the default 30-stage pipeline depth.
+ * BTB, 64-entry RAS, and a 1 KB tagged 4-way JRS confidence estimator
+ * (8 history bits where Table 2 quotes 16: DESIGN.md §5 item 1). The
+ * minimum branch misprediction penalty is ~30 cycles at the default
+ * 30-stage pipeline depth.
  *
  * Each configuration struct is one list of X(type, name, default) rows:
  * WISC_CACHE_PARAMS, WISC_ORACLE_KNOBS, WISC_SAMPLING_PARAMS and

@@ -50,8 +50,6 @@ enum class FlushCause : std::uint8_t
     WishLoopNoExit,
 };
 
-const char *flushCauseName(FlushCause c);
-
 /** A µop entering the pipe (fetch, or select-half creation at rename). */
 struct FetchProbe
 {

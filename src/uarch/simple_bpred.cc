@@ -5,26 +5,11 @@
 
 namespace wisc {
 
-namespace {
-
-void
-train2bit(std::uint8_t &ctr, bool taken)
-{
-    if (taken)
-        satIncrement(ctr, 2);
-    else
-        satDecrement(ctr);
-}
-
-} // namespace
-
-BimodalPredictor::BimodalPredictor(const SimParams &params,
-                                   StatSet &stats)
+BimodalPredictor::BimodalPredictor(const SimParams &params)
 {
     wisc_assert(isPow2(params.bimodalEntries),
                 "bimodal table must be a power of two");
     ctrs_.assign(params.bimodalEntries, 2); // weakly taken
-    (void)stats;
 }
 
 bool
@@ -41,8 +26,7 @@ BimodalPredictor::train(std::uint32_t pc, bool taken,
     train2bit(ctrs_[pc & (ctrs_.size() - 1)], taken);
 }
 
-TwoLevelPredictor::TwoLevelPredictor(const SimParams &params,
-                                     StatSet &stats)
+TwoLevelPredictor::TwoLevelPredictor(const SimParams &params)
     : histBits_(params.twoLevelHistBits)
 {
     wisc_assert(isPow2(params.twoLevelEntries),
@@ -50,7 +34,6 @@ TwoLevelPredictor::TwoLevelPredictor(const SimParams &params,
     wisc_assert(histBits_ <= log2i(params.twoLevelEntries),
                 "two-level history must fit in the pattern-table index");
     ctrs_.assign(params.twoLevelEntries, 2); // weakly taken
-    (void)stats;
 }
 
 std::size_t

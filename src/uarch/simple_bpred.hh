@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hh"
 #include "uarch/bpred_iface.hh"
 #include "uarch/params.hh"
 
@@ -25,7 +24,7 @@ namespace wisc {
 class BimodalPredictor final : public BranchPredictorBase
 {
   public:
-    BimodalPredictor(const SimParams &params, StatSet &stats);
+    explicit BimodalPredictor(const SimParams &params);
 
     bool predict(std::uint32_t pc, BpredCheckpoint &ckpt) override;
     void train(std::uint32_t pc, bool taken,
@@ -41,7 +40,7 @@ class BimodalPredictor final : public BranchPredictorBase
 class TwoLevelPredictor final : public BranchPredictorBase
 {
   public:
-    TwoLevelPredictor(const SimParams &params, StatSet &stats);
+    explicit TwoLevelPredictor(const SimParams &params);
 
     bool predict(std::uint32_t pc, BpredCheckpoint &ckpt) override;
     void train(std::uint32_t pc, bool taken,

@@ -20,16 +20,6 @@ train3bit(std::uint8_t &ctr, bool taken)
         satDecrement(ctr);
 }
 
-/** 2-bit saturating counter update (base table). */
-void
-train2bit(std::uint8_t &ctr, bool taken)
-{
-    if (taken)
-        satIncrement(ctr, 2);
-    else
-        satDecrement(ctr);
-}
-
 } // namespace
 
 TagePredictor::TagePredictor(const SimParams &params, StatSet &stats)

@@ -37,14 +37,12 @@ WishEngine::io(StateIO &io)
 }
 
 void
-WishEngine::enterLowConf(std::uint32_t pc, WishKind kind,
-                         std::uint32_t pendingTarget)
+WishEngine::enterLowConf(WishKind kind, std::uint32_t pendingTarget)
 {
     mode_ = FrontEndMode::LowConf;
     lowConfFromLoop_ = (kind == WishKind::Loop);
     pendingTarget_ = pendingTarget;
     ++*lowEntries_;
-    (void)pc;
 }
 
 void
@@ -124,7 +122,7 @@ WishEngine::onWishBranch(std::uint32_t pc, WishKind kind,
                 mode_ = FrontEndMode::Normal; // immediately exited
             return d;
         }
-        enterLowConf(pc, kind, 0xffffffff);
+        enterLowConf(kind, 0xffffffff);
         d.effectiveTaken = predictorTaken;
         d.branchMode = FrontEndMode::LowConf;
         if (!predictorTaken)
@@ -154,7 +152,7 @@ WishEngine::onWishBranch(std::uint32_t pc, WishKind kind,
         return d;
     }
 
-    enterLowConf(pc, kind, takenTarget);
+    enterLowConf(kind, takenTarget);
     d.effectiveTaken = false; // low confidence: force not-taken
     d.branchMode = FrontEndMode::LowConf;
     return d;

@@ -129,8 +129,7 @@ class WishEngine
     std::uint32_t loopInstance(std::uint32_t pc) const;
 
   private:
-    void enterLowConf(std::uint32_t pc, WishKind kind,
-                      std::uint32_t pendingTarget);
+    void enterLowConf(WishKind kind, std::uint32_t pendingTarget);
     void armPredicateBuffer(PredIdx srcPred, bool value);
 
     FrontEndMode mode_ = FrontEndMode::Normal;

@@ -30,8 +30,7 @@ smallParams()
 
 TEST(HybridPredictorTest, LearnsAlwaysTaken)
 {
-    StatSet stats;
-    HybridPredictor bp(smallParams(), stats);
+    HybridPredictor bp(smallParams());
     for (int i = 0; i < 50; ++i) {
         BpredCheckpoint ckpt;
         bool pred = bp.predict(42, ckpt);
@@ -45,8 +44,7 @@ TEST(HybridPredictorTest, LearnsAlwaysTaken)
 
 TEST(HybridPredictorTest, LearnsAlternatingViaHistory)
 {
-    StatSet stats;
-    HybridPredictor bp(smallParams(), stats);
+    HybridPredictor bp(smallParams());
     bool dir = false;
     int correct = 0;
     for (int i = 0; i < 400; ++i) {
@@ -65,8 +63,7 @@ TEST(HybridPredictorTest, LearnsAlternatingViaHistory)
 
 TEST(HybridPredictorTest, CheckpointRestoresHistory)
 {
-    StatSet stats;
-    HybridPredictor bp(smallParams(), stats);
+    HybridPredictor bp(smallParams());
     bp.updateSpeculative(1, true);
     bp.updateSpeculative(2, false);
     std::uint64_t before = bp.globalHistory();
@@ -86,9 +83,8 @@ TEST(HybridPredictorTest, SelectorPicksBetterComponent)
     // A pattern gshare can learn but a short local history cannot
     // (period longer than PAs history); after training, prediction
     // accuracy must be high, implying the selector settled correctly.
-    StatSet stats;
     SimParams p = smallParams();
-    HybridPredictor bp(p, stats);
+    HybridPredictor bp(p);
     Rng rng(3);
     int correct = 0, total = 0;
     for (int i = 0; i < 2000; ++i) {
@@ -115,8 +111,7 @@ TEST(HybridPredictorTest, SelectorTrainsOnFetchTimePredictions)
     // the prediction gshare actually made at fetch, not on the
     // counter's retirement-time value — the old code punished gshare
     // for a prediction it never made.
-    StatSet stats;
-    HybridPredictor bp(smallParams(), stats);
+    HybridPredictor bp(smallParams());
 
     BpredCheckpoint ckptA;
     bool predA = bp.predict(4, ckptA); // gshare index 4 ^ hist 0
@@ -263,9 +258,8 @@ TEST(RasTest, RestoreRepairsPopThenPushClobber)
 
 TEST(IndirectTargetCacheTest, LearnsPerHistoryTargets)
 {
-    StatSet stats;
     SimParams p;
-    IndirectTargetCache itc(256, p.indirectHistBits, stats);
+    IndirectTargetCache itc(256, p.indirectHistBits);
     itc.update(50, 0xAA, 111);
     itc.update(50, 0x55, 222);
     EXPECT_EQ(itc.predict(50, 0xAA), 111u);
@@ -278,8 +272,7 @@ TEST(IndirectTargetCacheTest, IndexMasksHistoryToConfiguredBits)
     // so two machines identical in every fingerprinted structure could
     // diverge on history bits older than any architected table. Two
     // histories equal in the low `histBits` must alias.
-    StatSet stats;
-    IndirectTargetCache itc(256, /*histBits=*/8, stats);
+    IndirectTargetCache itc(256, /*histBits=*/8);
     itc.update(50, 0xAB, 111);
     EXPECT_EQ(itc.predict(50, 0xAB | (1ull << 8)), 111u)
         << "bit 8 must be masked off at histBits=8";

@@ -194,9 +194,9 @@ TEST(TageTest, LearnsLongPatternBimodalCannot)
 {
     // Period-12 direction pattern: per-PC 2-bit counters hover near
     // chance, but a 12-bit history slice pins every phase exactly.
-    StatSet st, sb;
+    StatSet st;
     TagePredictor tage(smallTage(), st);
-    BimodalPredictor bim(SimParams{}, sb);
+    BimodalPredictor bim(SimParams{});
     int tageCorrect = 0, bimCorrect = 0, total = 0;
     for (int i = 0; i < 6000; ++i) {
         bool dir = (i % 12) < 5;
@@ -262,8 +262,7 @@ TEST(TageConfidenceTest, StableBranchHighColdBranchLow)
 
 TEST(BimodalTest, LearnsBiasedBranch)
 {
-    StatSet stats;
-    BimodalPredictor bp(SimParams{}, stats);
+    BimodalPredictor bp(SimParams{});
     for (int i = 0; i < 10; ++i) {
         BpredCheckpoint c;
         bool pred = bp.predict(3, c);
@@ -277,11 +276,10 @@ TEST(BimodalTest, LearnsBiasedBranch)
 
 TEST(TwoLevelTest, LearnsAlternationViaGlobalHistory)
 {
-    StatSet stats;
     SimParams p;
     p.twoLevelEntries = 4096;
     p.twoLevelHistBits = 6;
-    TwoLevelPredictor bp(p, stats);
+    TwoLevelPredictor bp(p);
     bool dir = false;
     int correct = 0, total = 0;
     for (int i = 0; i < 800; ++i) {

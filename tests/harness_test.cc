@@ -74,10 +74,12 @@ TEST(RunnerTest, RunsAreReproducible)
 
 TEST(BenchCliDeathTest, ObservationFlagsAreUsageErrors)
 {
-    // No bench binary implements --cpi-stack/--branch-profile (wisc-run
-    // does), so they must fail as usage errors rather than be accepted
-    // and silently dropped.
-    for (std::string flag : {"--cpi-stack", "--branch-profile"}) {
+    // No bench program implements --cpi-stack/--branch-profile
+    // (wisc-run does), and BenchCli reads no environment for a
+    // --no-cache to override, so each must fail as a usage error
+    // rather than be accepted and silently dropped.
+    for (std::string flag : {"--cpi-stack", "--branch-profile",
+                             "--no-cache"}) {
         std::string name = "bench";
         char *argv[] = {name.data(), flag.data(), nullptr};
         EXPECT_EXIT(BenchCli(2, argv, name), ::testing::ExitedWithCode(2),
