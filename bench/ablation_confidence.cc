@@ -57,15 +57,13 @@ ablation_confidence(BenchCli &cli)
             p.confHistBits = c.hist;
             p.confThreshold = c.thresh;
             p.confMissIsHigh = c.missHigh;
-            double n = static_cast<double>(
-                run(RunRequest{kv.second, BinaryVariant::Normal,
-                               InputSet::A, p})
-                    .result.cycles);
-            double w = static_cast<double>(
-                run(RunRequest{kv.second,
-                               BinaryVariant::WishJumpJoinLoop,
-                               InputSet::A, p})
-                    .result.cycles);
+            auto cycles = [&](BinaryVariant v) {
+                return static_cast<double>(
+                    run(programFor(kv.second, v, InputSet::A), p)
+                        .result.cycles);
+            };
+            double n = cycles(BinaryVariant::Normal);
+            double w = cycles(BinaryVariant::WishJumpJoinLoop);
             row.push_back(Table::num(w / n));
         }
         rows[i] = std::move(row);

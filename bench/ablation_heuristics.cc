@@ -41,21 +41,13 @@ ablation_heuristics(BenchCli &cli)
         CompiledWorkload ws = compileWorkload(name, sizeOnly);
         CompiledWorkload wp = compileWorkload(name, profAware);
 
-        double base = static_cast<double>(
-            run(RunRequest{ws, BinaryVariant::Normal, InputSet::A})
-                .result.cycles);
-        double rs =
-            static_cast<double>(
-                run(RunRequest{ws, BinaryVariant::WishJumpJoinLoop,
-                               InputSet::A})
-                    .result.cycles) /
-            base;
-        double rp =
-            static_cast<double>(
-                run(RunRequest{wp, BinaryVariant::WishJumpJoinLoop,
-                               InputSet::A})
-                    .result.cycles) /
-            base;
+        auto cycles = [](const CompiledWorkload &cw, BinaryVariant v) {
+            return static_cast<double>(
+                run(programFor(cw, v, InputSet::A)).result.cycles);
+        };
+        double base = cycles(ws, BinaryVariant::Normal);
+        double rs = cycles(ws, BinaryVariant::WishJumpJoinLoop) / base;
+        double rp = cycles(wp, BinaryVariant::WishJumpJoinLoop) / base;
         rows[i] = {rs, rp,
                    {name, Table::num(rs), Table::num(rp),
                     std::to_string(

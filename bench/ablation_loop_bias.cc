@@ -33,10 +33,11 @@ ablation_loop_bias(BenchCli &cli)
             SimParams p;
             p.wishLoopBias = bias;
             double n = static_cast<double>(
-                run(RunRequest{w, BinaryVariant::Normal, InputSet::A, p})
+                run(programFor(w, BinaryVariant::Normal, InputSet::A), p)
                     .result.cycles);
-            RunOutcome r = run(RunRequest{
-                w, BinaryVariant::WishJumpJoinLoop, InputSet::A, p});
+            RunOutcome r = run(
+                programFor(w, BinaryVariant::WishJumpJoinLoop, InputSet::A),
+                p);
             rows[i].push_back(
                 {name, bias ? "on" : "off",
                  Table::num(static_cast<double>(r.result.cycles) / n),

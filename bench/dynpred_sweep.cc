@@ -25,7 +25,6 @@
  * benchmarks on the hybrid front end only.
  */
 
-#include <cmath>
 #include <iostream>
 #include <map>
 #include <string>
@@ -86,15 +85,6 @@ struct Cell
     RunOutcome out;
 };
 
-double
-geomean(const std::vector<double> &xs)
-{
-    double acc = 0.0;
-    for (double x : xs)
-        acc += std::log(x);
-    return xs.empty() ? 0.0 : std::exp(acc / xs.size());
-}
-
 } // namespace
 
 int
@@ -139,8 +129,8 @@ dynpred_sweep(BenchCli &cli)
         p.wishEnabled = mode.wishEnabled;
         p.dynPred = mode.dynPred;
         p.collectAttribution = true;
-        c.out = run(RunRequest{workloads[c.bench], mode.variant,
-                               InputSet::A, p});
+        c.out = run(
+            programFor(workloads[c.bench], mode.variant, InputSet::A), p);
     });
 
     // Per-cell invariant: the CPI stack sums exactly to cycles in

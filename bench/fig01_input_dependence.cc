@@ -37,9 +37,9 @@ fig01_input_dependence(BenchCli &cli)
         std::vector<std::string> row = {name};
         for (InputSet in : {InputSet::A, InputSet::B, InputSet::C}) {
             RunOutcome base =
-                run(RunRequest{w, BinaryVariant::Normal, in});
+                run(programFor(w, BinaryVariant::Normal, in));
             RunOutcome pred =
-                run(RunRequest{w, BinaryVariant::BaseMax, in});
+                run(programFor(w, BinaryVariant::BaseMax, in));
             row.push_back(Table::num(
                 static_cast<double>(pred.result.cycles) /
                 static_cast<double>(base.result.cycles)));

@@ -58,7 +58,7 @@ fig02_attribution(BenchCli &cli)
         SimParams attr;
         attr.collectAttribution = true;
         RunOutcome direct = run(
-            RunRequest{w, BinaryVariant::BaseMax, InputSet::A, attr});
+            programFor(w, BinaryVariant::BaseMax, InputSet::A), attr);
         const double total =
             static_cast<double>(direct.result.cycles);
         const std::uint64_t predWait = direct.require("attrib.pred_wait");
@@ -70,9 +70,9 @@ fig02_attribution(BenchCli &cli)
         SimParams noDepNoFetch = noDep;
         noDepNoFetch.oracle.noFetch = true;
         RunOutcome nd = run(
-            RunRequest{w, BinaryVariant::BaseMax, InputSet::A, noDep});
-        RunOutcome ndnf = run(RunRequest{
-            w, BinaryVariant::BaseMax, InputSet::A, noDepNoFetch});
+            programFor(w, BinaryVariant::BaseMax, InputSet::A), noDep);
+        RunOutcome ndnf = run(
+            programFor(w, BinaryVariant::BaseMax, InputSet::A), noDepNoFetch);
         const std::int64_t dDep =
             static_cast<std::int64_t>(direct.result.cycles) -
             static_cast<std::int64_t>(nd.result.cycles);

@@ -31,7 +31,7 @@ fig11_wish_jump_stats(BenchCli &cli)
         const std::string &name = names[i];
         CompiledWorkload w = compileWorkload(name);
         RunOutcome r =
-            run(RunRequest{w, BinaryVariant::WishJumpJoin, InputSet::A});
+            run(programFor(w, BinaryVariant::WishJumpJoin, InputSet::A));
         double scale =
             1e6 / static_cast<double>(r.result.retiredUops);
         auto per1m = [&](const char *a, const char *b) {

@@ -31,7 +31,7 @@ fig13_wish_loop_stats(BenchCli &cli)
         const std::string &name = names[i];
         CompiledWorkload w = compileWorkload(name);
         RunOutcome r = run(
-            RunRequest{w, BinaryVariant::WishJumpJoinLoop, InputSet::A});
+            programFor(w, BinaryVariant::WishJumpJoinLoop, InputSet::A));
         double scale =
             1e6 / static_cast<double>(r.result.retiredUops);
         auto per1m = [&](const char *k) {

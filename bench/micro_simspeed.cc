@@ -10,7 +10,8 @@
  * `--smoke` runs a reduced matrix (two kernels, largest window only)
  * with a deliberately generous throughput floor; ctest runs that mode
  * under the `smoke` label to catch order-of-magnitude regressions in
- * the hot path without making the suite timing-sensitive.
+ * the hot path without making the suite timing-sensitive. `--json PATH`
+ * also writes the results as JSON; there are no other flags.
  */
 
 #include <chrono>
@@ -53,16 +54,33 @@ int
 main(int argc, char **argv)
 {
     bool smoke = false;
-    std::vector<char *> passArgv;
-    passArgv.push_back(argv[0]);
+    std::string jsonPath;
     for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--smoke")
+        const std::string a = argv[i];
+        if (a == "--smoke") {
             smoke = true;
-        else
-            passArgv.push_back(argv[i]);
+        } else if (a == "--json") {
+            if (i + 1 >= argc) {
+                std::cerr << "micro_simspeed: --json requires PATH\n";
+                return 2;
+            }
+            jsonPath = argv[++i];
+        } else if (a == "--help" || a == "-h") {
+            std::cout << "usage: micro_simspeed [--smoke] [--json PATH]\n"
+                         "\n"
+                         "  --smoke       two kernels at the 512-entry "
+                         "window, with a\n"
+                         "                generous throughput floor "
+                         "(ctest smoke target)\n"
+                         "  --json PATH   also write the results as JSON\n";
+            return 0;
+        } else {
+            std::cerr << "micro_simspeed: unknown option '" << a
+                      << "' (try --help)\n";
+            return 2;
+        }
     }
-    BenchCli cli(static_cast<int>(passArgv.size()), passArgv.data(),
-                 "micro_simspeed");
+    BenchCli cli("micro_simspeed");
 
     printBanner(std::cout, "Simulator throughput",
                 smoke ? "simulated Muops per wall second (smoke matrix)"
@@ -178,9 +196,9 @@ main(int argc, char **argv)
     if (overall < kFloor) {
         std::cerr << "micro_simspeed: throughput " << overall
                   << " uops/s below floor " << kFloor << "\n";
-        cli.finish();
+        cli.finish(jsonPath);
         return 1;
     }
 #endif
-    return cli.finish();
+    return cli.finish(jsonPath);
 }

@@ -24,7 +24,6 @@
  * every factory path hot in CI without simulating all 270 cells.
  */
 
-#include <cmath>
 #include <iostream>
 #include <map>
 #include <string>
@@ -69,15 +68,6 @@ struct Cell
     std::size_t bench;
     RunOutcome out;
 };
-
-double
-geomean(const std::vector<double> &xs)
-{
-    double acc = 0.0;
-    for (double x : xs)
-        acc += std::log(x);
-    return xs.empty() ? 0.0 : std::exp(acc / xs.size());
-}
 
 } // namespace
 
@@ -132,8 +122,7 @@ predictor_sweep(BenchCli &cli)
         p.predictor = fes[c.fe].predictor;
         p.confKind = fes[c.fe].conf;
         p.collectAttribution = true;
-        c.out = run(RunRequest{workloads[c.bench], c.variant,
-                               InputSet::A, p});
+        c.out = run(programFor(workloads[c.bench], c.variant, InputSet::A), p);
     });
 
     // Index for the summary tables: cycles[fe][variant][bench].

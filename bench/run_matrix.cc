@@ -11,7 +11,9 @@
  * that several experiments need — the normal-binary baseline alone is
  * run by fig01/02/10/12/13, table4/5, and every ablation — execute
  * exactly once, and with `--cache DIR` a second invocation replays the
- * entire matrix from disk.
+ * entire matrix from disk. It is the only program that turns the run
+ * cache on, and the only one that takes `--cache`; every other caller
+ * of run() simulates each request.
  *
  * Output: each experiment prints its paper-style table to stdout,
  * followed by a blank line, and the run ends with one `matrix:` line
@@ -34,12 +36,13 @@
  */
 
 #include <algorithm>
-#include <charconv>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/parse.hh"
 #include "harness/bench_cli.hh"
 
 using namespace wisc;
@@ -158,25 +161,15 @@ checkOnly(const std::vector<std::string> &only)
     return true;
 }
 
-/** Strict unsigned decimal: digits only (from_chars takes no sign or
- *  space for an unsigned type), no overflow, nothing after. */
-bool
-parseCount(const char *first, const char *last, unsigned &out)
-{
-    auto [end, ec] = std::from_chars(first, last, out);
-    return ec == std::errc() && end == last;
-}
-
 /** Parse "I/N" with 1 <= I <= N; anything else is rejected whole. */
 bool
-parseShard(const std::string &s, unsigned &index, unsigned &count)
+parseShard(std::string_view s, unsigned &index, unsigned &count)
 {
     const std::size_t slash = s.find('/');
-    if (slash == std::string::npos)
+    if (slash == std::string_view::npos)
         return false;
-    const char *p = s.data();
-    return parseCount(p, p + slash, index) &&
-           parseCount(p + slash + 1, p + s.size(), count) && index >= 1 &&
+    return parseCount(s.substr(0, slash), index) &&
+           parseCount(s.substr(slash + 1), count) && index >= 1 &&
            index <= count;
 }
 
@@ -188,7 +181,7 @@ main(int argc, char **argv)
     bool smoke = false;
     std::vector<std::string> only;
     unsigned shardIndex = 1, shardCount = 1;
-    std::vector<char *> passArgv = {argv[0]};
+    std::string jsonPath, cacheDir;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         if (a == "--smoke") {
@@ -209,6 +202,13 @@ main(int argc, char **argv)
                 return 2;
             }
             ++i;
+        } else if (a == "--json" || a == "--cache") {
+            if (i + 1 >= argc) {
+                std::cerr << "run_matrix: " << a << " requires "
+                          << (a == "--json" ? "PATH" : "DIR") << "\n";
+                return 2;
+            }
+            (a == "--json" ? jsonPath : cacheDir) = argv[++i];
         } else if (a == "--list") {
             for (const Experiment &e : kExperiments)
                 std::cout << e.name << "\n";
@@ -216,14 +216,20 @@ main(int argc, char **argv)
         } else if (a == "--help" || a == "-h") {
             return usage(0);
         } else {
-            passArgv.push_back(argv[i]);
+            std::cerr << "run_matrix: unknown option '" << a
+                      << "' (try --help)\n";
+            return 2;
         }
     }
 
-    // The top-level CLI owns the consolidated document, the matrix-wide
-    // timer, and the cache configuration (--json/--cache).
-    BenchCli cli(static_cast<int>(passArgv.size()), passArgv.data(),
-                 "run_matrix");
+    // The only program that turns the run cache on: in-process dedup
+    // always, the persistent layer when --cache names a directory.
+    RunService &svc = RunService::global();
+    svc.setMemoize(true);
+    svc.setCacheDir(cacheDir);
+
+    // The consolidated document and the matrix-wide timer.
+    BenchCli cli("run_matrix");
 
     std::vector<const Experiment *> schedule;
     for (const Experiment &e : kExperiments) {
@@ -267,7 +273,7 @@ main(int argc, char **argv)
         std::cout << "\n";
     }
 
-    const RunCacheStats totals = RunService::global().stats();
+    const RunCacheStats totals = svc.stats();
     std::cout << "matrix: " << schedule.size() << " experiments, "
               << totals.misses << " simulations, " << totals.dedupHits
               << " dedup hits, " << totals.diskHits << " disk hits in "
@@ -279,6 +285,6 @@ main(int argc, char **argv)
     cli.add("experiments", std::move(experiments));
     cli.add("experiment_wall_seconds", std::move(wallByExperiment));
 
-    int rc = cli.finish();
+    int rc = cli.finish(jsonPath);
     return firstFailure ? firstFailure : rc;
 }

@@ -86,10 +86,8 @@ sampling_validation(BenchCli &cli)
         SimParams fp;
         fp.checkFinalState = false;
 
-        RunRequest fullReq{prog, fp};
-        fullReq.cache = RunRequest::CachePolicy::Bypass;
         auto t0 = std::chrono::steady_clock::now();
-        RunOutcome full = run(fullReq);
+        RunOutcome full = captureRun(prog, fp);
         auto t1 = std::chrono::steady_clock::now();
         wisc_assert(full.result.halted, "full run did not halt");
         const std::uint64_t uops = full.result.retiredUops;
@@ -128,10 +126,8 @@ sampling_validation(BenchCli &cli)
             ujt / 32, sp.sampling.warmupUops + sp.sampling.measureUops);
         sp.sampling.prefixUops = 2 * bff.uops();
 
-        RunRequest sampReq{prog, sp};
-        sampReq.cache = RunRequest::CachePolicy::Bypass;
         auto t2 = std::chrono::steady_clock::now();
-        RunOutcome samp = run(sampReq);
+        RunOutcome samp = captureRun(prog, sp);
         auto t3 = std::chrono::steady_clock::now();
 
         // Architectural results are exact, never estimated. The raw

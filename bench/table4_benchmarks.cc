@@ -35,13 +35,13 @@ table4_benchmarks(BenchCli &cli)
         CompiledWorkload w = compileWorkload(name);
 
         RunOutcome n =
-            run(RunRequest{w, BinaryVariant::Normal, InputSet::A});
+            run(programFor(w, BinaryVariant::Normal, InputSet::A));
         const CompiledBinary &wjjl =
             w.variants.at(BinaryVariant::WishJumpJoinLoop);
 
         // Dynamic wish-branch counts come from a run of the wjjl binary.
         RunOutcome wr = run(
-            RunRequest{w, BinaryVariant::WishJumpJoinLoop, InputSet::A});
+            programFor(w, BinaryVariant::WishJumpJoinLoop, InputSet::A));
         auto dynOf = [&](const char *kind) {
             std::uint64_t v = 0;
             for (const char *cls :

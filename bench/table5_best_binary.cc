@@ -42,17 +42,16 @@ table5_best_binary(BenchCli &cli)
         const std::string &name = names[i];
         CompiledWorkload w = compileWorkload(name);
         double n = static_cast<double>(
-            run(RunRequest{w, BinaryVariant::Normal, InputSet::A})
+            run(programFor(w, BinaryVariant::Normal, InputSet::A))
                 .result.cycles);
         double d = static_cast<double>(
-            run(RunRequest{w, BinaryVariant::BaseDef, InputSet::A})
+            run(programFor(w, BinaryVariant::BaseDef, InputSet::A))
                 .result.cycles);
         double m = static_cast<double>(
-            run(RunRequest{w, BinaryVariant::BaseMax, InputSet::A})
+            run(programFor(w, BinaryVariant::BaseMax, InputSet::A))
                 .result.cycles);
         double wjl = static_cast<double>(
-            run(RunRequest{w, BinaryVariant::WishJumpJoinLoop,
-                           InputSet::A})
+            run(programFor(w, BinaryVariant::WishJumpJoinLoop, InputSet::A))
                 .result.cycles);
 
         double bestPred = std::min(d, m);

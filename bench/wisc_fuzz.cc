@@ -18,14 +18,12 @@
  * no longer exhibits the failure, 2 when it still reproduces.
  */
 
-#include <charconv>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <vector>
 
+#include "common/parse.hh"
 #include "fuzz/fuzzer.hh"
 #include "harness/bench_cli.hh"
 #include "harness/table.hh"
@@ -44,17 +42,6 @@ usage(std::ostream &os, const char *argv0, int code)
     return code;
 }
 
-/** Parse a whole decimal count: digits only (from_chars takes no sign
- *  or space for an unsigned type), no overflow, nothing after. */
-template <typename T>
-bool
-parseCount(const char *s, T &out)
-{
-    const char *last = s + std::strlen(s);
-    auto [end, ec] = std::from_chars(s, last, out);
-    return ec == std::errc() && end == last;
-}
-
 int
 badCount(const char *argv0, const std::string &flag, const char *value)
 {
@@ -71,11 +58,8 @@ main(int argc, char **argv)
     FuzzOptions opts;
     std::string replayPath;
     std::string matrixName = "smoke";
+    std::string jsonPath;
 
-    // Pre-filter fuzzer flags; everything else (--json, ...) goes to
-    // BenchCli, which exits with usage on anything it does not know.
-    std::vector<char *> passArgv;
-    passArgv.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         auto value = [&](const char *flag) -> const char * {
@@ -111,10 +95,14 @@ main(int argc, char **argv)
             opts.reproDir = value("--repro-dir");
         else if (a == "--replay")
             replayPath = value("--replay");
+        else if (a == "--json")
+            jsonPath = value("--json");
         else if (a == "--help" || a == "-h")
             return usage(std::cout, argv[0], 0);
-        else
-            passArgv.push_back(argv[i]);
+        else {
+            std::cerr << "wisc_fuzz: unknown option '" << a << "'\n";
+            return usage(std::cerr, argv[0], 2);
+        }
     }
     if (matrixName == "smoke")
         opts.matrix = defaultParamsMatrix(true);
@@ -126,8 +114,7 @@ main(int argc, char **argv)
         return 2;
     }
 
-    BenchCli cli(static_cast<int>(passArgv.size()), passArgv.data(),
-                 "wisc_fuzz");
+    BenchCli cli("wisc_fuzz");
 
     if (!replayPath.empty()) {
         std::ifstream in(replayPath);
@@ -146,7 +133,7 @@ main(int argc, char **argv)
                               ? ": compile-rejected (fresh-guard pool)"
                               : ": no longer reproduces")
                       << "\n";
-            cli.finish();
+            cli.finish(jsonPath);
             return 0;
         }
         std::cout << "wisc_fuzz: " << replayPath
@@ -154,7 +141,7 @@ main(int argc, char **argv)
                   << "\n";
         cli.add("replay_kind", c.kind);
         cli.add("replay_detail", c.detail);
-        cli.finish();
+        cli.finish(jsonPath);
         return 2;
     }
 
@@ -202,10 +189,10 @@ main(int argc, char **argv)
                   << (opts.reproDir.empty() ? "not written (no --repro-dir)"
                                             : "in " + opts.reproDir)
                   << "\n";
-        cli.finish();
+        cli.finish(jsonPath);
         return 1;
     }
     std::cout << "\nwisc_fuzz: all " << rep.programs
               << " programs equivalent across variants and engines.\n";
-    return cli.finish();
+    return cli.finish(jsonPath);
 }

@@ -27,7 +27,7 @@ main()
     SimParams base;
     StatSet s;
     double normal = static_cast<double>(
-        run(RunRequest{w, BinaryVariant::Normal, InputSet::A})
+        run(programFor(w, BinaryVariant::Normal, InputSet::A))
             .result.cycles);
 
     Table t({"threshold", "rel-time", "high-conf", "low-conf", "flushes",
@@ -35,8 +35,8 @@ main()
     for (unsigned th : {1u, 2u, 4u, 8u, 12u, 15u}) {
         SimParams p;
         p.confThreshold = th;
-        RunOutcome r = run(RunRequest{
-            w, BinaryVariant::WishJumpJoinLoop, InputSet::A, p});
+        RunOutcome r = run(
+            programFor(w, BinaryVariant::WishJumpJoinLoop, InputSet::A), p);
         std::uint64_t high = 0, low = 0, highM = 0;
         for (const char *k : {"jump", "join", "loop"}) {
             std::string pre = std::string("wish.") + k + ".";

@@ -35,9 +35,10 @@ main()
             p.pipelineStages = stages;
 
             RunOutcome n =
-                run(RunRequest{w, BinaryVariant::Normal, InputSet::A, p});
-            RunOutcome wr = run(RunRequest{
-                w, BinaryVariant::WishJumpJoinLoop, InputSet::A, p});
+                run(programFor(w, BinaryVariant::Normal, InputSet::A), p);
+            RunOutcome wr = run(
+                programFor(w, BinaryVariant::WishJumpJoinLoop, InputSet::A),
+                p);
             double rel = static_cast<double>(wr.result.cycles) /
                          static_cast<double>(n.result.cycles);
             t.addRow({std::to_string(rob), std::to_string(stages),

@@ -11,12 +11,9 @@ struct ProfileHooks
 {
     Profile *profile;
 
-    void onInst(std::uint32_t pc, const Instruction &, bool qpTrue)
+    void onInst(std::uint32_t pc, const Instruction &, bool)
     {
-        InstProfile &p = profile->perInst[pc];
-        ++p.execCount;
-        if (qpTrue)
-            ++p.qpTrueCount;
+        ++profile->perInst[pc].execCount;
     }
     void onBranch(std::uint32_t pc, const Instruction &, bool taken)
     {

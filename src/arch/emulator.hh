@@ -21,9 +21,8 @@ namespace wisc {
 /** Per-static-instruction profile counters. */
 struct InstProfile
 {
-    std::uint64_t execCount = 0;   ///< times the instruction was reached
-    std::uint64_t qpTrueCount = 0; ///< times its qp evaluated TRUE
-    std::uint64_t takenCount = 0;  ///< times a Br was taken (qp TRUE)
+    std::uint64_t execCount = 0;  ///< times the instruction was reached
+    std::uint64_t takenCount = 0; ///< times a Br was taken (qp TRUE)
 };
 
 /** Whole-program profile, indexed by instruction index. */

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "common/rng.hh"
-
 namespace wisc {
 
 std::string
@@ -64,17 +62,6 @@ firstStateDiff(const ArchState &expected, const ArchState &got)
         }
     }
     return d;
-}
-
-std::uint64_t
-stateFingerprint(const ArchState &s)
-{
-    std::uint64_t h = 0;
-    for (unsigned r = 0; r < kNumIntRegs; ++r)
-        h = mixHash(h ^ mixHash(static_cast<UWord>(
-                            s.readReg(static_cast<RegIdx>(r))) +
-                        r));
-    return mixHash(h ^ s.mem().fingerprint());
 }
 
 } // namespace wisc

@@ -56,14 +56,6 @@ struct StateDiff
  */
 StateDiff firstStateDiff(const ArchState &expected, const ArchState &got);
 
-/**
- * Order-sensitive fingerprint over everything firstStateDiff compares:
- * all integer registers plus the memory content hash. Two states with
- * equal fingerprints are architecturally equivalent for the purposes of
- * the variant-equivalence invariant (predicates excluded, see above).
- */
-std::uint64_t stateFingerprint(const ArchState &s);
-
 } // namespace wisc
 
 #endif // WISC_ARCH_STATE_DIFF_HH_

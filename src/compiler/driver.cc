@@ -53,13 +53,12 @@ profileFunction(const IrFunction &fn, std::uint64_t maxSteps)
         std::uint32_t inst = kv.first;
         BlockId blk = kv.second;
         const InstProfile &p = profile.perInst[inst];
+        // A never-executed branch keeps the defaults above: the
+        // profile's estimate for it is 0.5, not the 0.25 default.
         if (p.execCount == 0)
             continue;
-        double taken = static_cast<double>(p.takenCount) /
-                       static_cast<double>(p.execCount);
-        stats.takenProb[blk] = taken;
-        stats.mispredictRate[blk] = taken < 1.0 - taken ? taken
-                                                        : 1.0 - taken;
+        stats.takenProb[blk] = profile.takenProb(inst);
+        stats.mispredictRate[blk] = profile.mispredictEstimate(inst);
         stats.execWeight[blk] =
             static_cast<double>(p.execCount) /
             static_cast<double>(profile.dynInsts ? profile.dynInsts : 1);

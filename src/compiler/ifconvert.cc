@@ -10,12 +10,6 @@ namespace wisc {
 
 namespace {
 
-bool
-isPredOp(Opcode op)
-{
-    return op == Opcode::PNot || op == Opcode::PAnd || op == Opcode::POr;
-}
-
 /**
  * Index of the compare that defines (cond, condC) in this block: the last
  * writer of either predicate, which must be a compare producing exactly

@@ -1,7 +1,5 @@
 #include "compiler/ir.hh"
 
-#include <sstream>
-
 #include "common/log.hh"
 
 namespace wisc {
@@ -243,48 +241,6 @@ IrFunction::lower(std::map<std::uint32_t, BlockId> *branchOfInst) const
 
     prog.validate();
     return prog;
-}
-
-std::string
-IrFunction::dump() const
-{
-    std::ostringstream os;
-    for (BlockId b = 0; b < blocks_.size(); ++b) {
-        const IrBlock &blk = blocks_[b];
-        if (blk.dead)
-            continue;
-        os << "block " << b;
-        if (!blk.name.empty())
-            os << " (" << blk.name << ")";
-        if (blk.guard)
-            os << " guard=p" << unsigned(blk.guard);
-        os << ":\n";
-        for (const Instruction &inst : blk.insts)
-            os << "    " << disassemble(inst) << "\n";
-        const Terminator &t = blk.term;
-        switch (t.kind) {
-          case TermKind::Fallthrough:
-            os << "    -> " << t.next << "\n";
-            break;
-          case TermKind::Jump:
-            os << "    jmp " << t.taken << "\n";
-            break;
-          case TermKind::CondBr:
-            os << "    br";
-            if (t.wish != WishKind::None)
-                os << "[" << wishKindName(t.wish) << "]";
-            os << " p" << unsigned(t.cond) << " -> " << t.taken
-               << " else " << t.next << "\n";
-            break;
-          case TermKind::Indirect:
-            os << "    jmpr r" << unsigned(t.reg) << "\n";
-            break;
-          case TermKind::Halt:
-            os << "    halt\n";
-            break;
-        }
-    }
-    return os.str();
 }
 
 } // namespace wisc

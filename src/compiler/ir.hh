@@ -121,9 +121,6 @@ class IrFunction
     Program lower(std::map<std::uint32_t, BlockId> *branchOfInst =
                       nullptr) const;
 
-    /** Human-readable CFG dump. */
-    std::string dump() const;
-
   private:
     std::vector<IrBlock> blocks_;
     std::vector<DataSegment> data_;

@@ -1,6 +1,5 @@
 #include "compiler/ir_text.hh"
 
-#include <map>
 #include <sstream>
 #include <vector>
 
@@ -32,22 +31,6 @@ wishName(WishKind w)
       case WishKind::Loop: return "loop";
     }
     return "?";
-}
-
-/** name -> Opcode, built once from the ISA's own mnemonic table. */
-const std::map<std::string, Opcode> &
-opcodeByName()
-{
-    static const std::map<std::string, Opcode> m = [] {
-        std::map<std::string, Opcode> out;
-        for (unsigned o = 0;
-             o < static_cast<unsigned>(Opcode::NumOpcodes); ++o) {
-            Opcode op = static_cast<Opcode>(o);
-            out.emplace(opcodeName(op), op);
-        }
-        return out;
-    }();
-    return m;
 }
 
 void
@@ -247,11 +230,11 @@ class Parser
             fail("instruction outside a block");
         if (toks.size() < 2)
             fail("instruction needs an opcode");
-        auto it = opcodeByName().find(toks[1]);
-        if (it == opcodeByName().end())
+        std::optional<Opcode> op = opcodeByName(toks[1]);
+        if (!op)
             fail("unknown opcode '" + toks[1] + "'");
         Instruction inst;
-        inst.op = it->second;
+        inst.op = *op;
         for (const Field &f : parseFields(toks, 2)) {
             if (f.key == "qp")
                 inst.qp = static_cast<PredIdx>(parseInt(f.value));

@@ -9,12 +9,6 @@ namespace wisc {
 namespace {
 
 bool
-isPredOp(Opcode op)
-{
-    return op == Opcode::PNot || op == Opcode::PAnd || op == Opcode::POr;
-}
-
-bool
 writesEither(const Instruction &inst, PredIdx a, PredIdx b)
 {
     if (!inst.writesPred())

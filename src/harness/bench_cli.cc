@@ -1,7 +1,5 @@
 #include "harness/bench_cli.hh"
 
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 #include "common/log.hh"
@@ -10,98 +8,11 @@
 
 namespace wisc {
 
-namespace {
-
-/** One command-line flag: its spelling, argument placeholder, help
- *  text, and where the parsed value lands in the OutputSpec. The same
- *  table drives parsing and --help, so the two cannot disagree. */
-struct FlagDesc
-{
-    const char *flag;
-    const char *arg;
-    const char *help;
-    std::string OutputSpec::*field;
-};
-
-constexpr FlagDesc kFlags[] = {
-    {"--json", "PATH", "also write the results as JSON",
-     &OutputSpec::jsonPath},
-    {"--cache", "DIR",
-     "persist simulation results in a content-addressed cache",
-     &OutputSpec::cacheDir},
-};
-
-void
-printUsage(const std::string &name)
-{
-    std::cout << "usage: " << name;
-    for (const FlagDesc &f : kFlags)
-        std::cout << " [" << f.flag << ' ' << f.arg << ']';
-    std::cout << "\n\n";
-    for (const FlagDesc &f : kFlags) {
-        // Two-column layout: the help text starts at column 22.
-        std::string head = std::string(f.flag) + ' ' + f.arg;
-        head.resize(20, ' ');
-        std::cout << "  " << head << f.help << "\n";
-    }
-    std::cout << "\n  WISC_JOBS=N           worker threads for the "
-                 "simulation sweep (default: all cores)\n";
-}
-
-} // namespace
-
-OutputSpec
-OutputSpec::parse(int argc, char **argv, const std::string &name)
-{
-    OutputSpec spec;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--help" || a == "-h") {
-            printUsage(name);
-            std::exit(0);
-        }
-        const FlagDesc *match = nullptr;
-        for (const FlagDesc &f : kFlags)
-            if (a == f.flag)
-                match = &f;
-        if (!match) {
-            std::cerr << name << ": unknown option '" << a
-                      << "' (try --help)\n";
-            std::exit(2);
-        }
-        if (i + 1 >= argc) {
-            std::cerr << name << ": " << match->flag << " requires "
-                      << match->arg << "\n";
-            std::exit(2);
-        }
-        spec.*(match->field) = argv[++i];
-    }
-    return spec;
-}
-
-BenchCli::BenchCli(int argc, char **argv, std::string name)
-    : name_(std::move(name)), spec_(OutputSpec::parse(argc, argv, name_)),
-      start_(std::chrono::steady_clock::now())
-{
-    // Opt this process into the run cache: dedup always, persistent
-    // layer when a directory is configured.
-    RunService &svc = RunService::global();
-    svc.setMemoize(true);
-    svc.setCacheDir(spec_.cacheDir);
-    cacheStart_ = svc.stats();
-
-    doc_["bench"] = name_;
-    doc_["schema_version"] = 1u;
-}
-
 BenchCli::BenchCli(std::string name, bool smoke)
     : name_(std::move(name)), smoke_(smoke),
-      start_(std::chrono::steady_clock::now())
+      start_(std::chrono::steady_clock::now()),
+      cacheStart_(RunService::global().stats())
 {
-    RunService &svc = RunService::global();
-    svc.setMemoize(true);
-    cacheStart_ = svc.stats();
-
     doc_["bench"] = name_;
     doc_["schema_version"] = 1u;
 }
@@ -168,18 +79,18 @@ BenchCli::finalizeDoc()
 }
 
 int
-BenchCli::finish()
+BenchCli::finish(const std::string &jsonPath)
 {
     finalizeDoc();
-    if (spec_.jsonPath.empty())
+    if (jsonPath.empty())
         return 0;
     try {
-        writeJsonFile(spec_.jsonPath, doc_);
+        writeJsonFile(jsonPath, doc_);
     } catch (const FatalError &e) {
         std::cerr << name_ << ": " << e.what() << "\n";
         return 1;
     }
-    std::cerr << name_ << ": wrote " << spec_.jsonPath << "\n";
+    std::cerr << name_ << ": wrote " << jsonPath << "\n";
     return 0;
 }
 

@@ -1,17 +1,10 @@
 /**
  * @file
- * Shared command line and results document for bench/run_matrix and
- * the bench tools (micro_simspeed, wisc_fuzz).
- *
- * Every output-related option lives in one place — OutputSpec — parsed
- * from one flag table that also generates the --help text. These are
- * the only flags it reads, and it reads no environment variable:
- *
- *   --json PATH       structured results document
- *   --cache DIR       persistent run cache
- *
- * Each BenchCli builds one structured document, which finish() writes
- * to the --json destination; run_matrix nests each experiment's
+ * The results document of bench/run_matrix and the bench tools
+ * (micro_simspeed, wisc_fuzz). A BenchCli reads no argv and no
+ * environment variable: each program parses its own flags and hands
+ * its --json PATH to finish(), which writes the document there.
+ * run_matrix gives each experiment its own BenchCli and nests that
  * document in its own:
  *
  *   { "bench": name, "schema_version": 1, "jobs": N,
@@ -23,10 +16,6 @@
  * coalesced/memoized requests, cache_misses fresh simulations — all
  * deltas over this CLI's lifetime, so the numbers stay per-experiment
  * even when many experiments share one process (bench/run_matrix).
- *
- * Constructing a BenchCli also opts the process into the run cache:
- * in-process dedup always, and the persistent layer when `--cache`
- * names a directory.
  *
  * A benchmark whose results flow through addResults() — or that calls
  * noteSimulated() itself — also gets "simulated_uops",
@@ -49,36 +38,12 @@
 
 namespace wisc {
 
-/**
- * Everything the bench command line says about *outputs*: where the
- * JSON goes and how runs are cached. Parsed in exactly one place
- * (parse()), from the same flag table that renders `--help`.
- */
-struct OutputSpec
-{
-    std::string jsonPath; ///< --json ("" = none)
-    std::string cacheDir; ///< --cache ("" = persistent layer off)
-
-    /** Parse argv; prints usage and exits on --help (0) or an unknown
-     *  flag (2). */
-    static OutputSpec parse(int argc, char **argv,
-                            const std::string &name);
-};
-
 class BenchCli
 {
   public:
-    /** Parses argv via OutputSpec::parse; exits with usage on unknown
-     *  flags. */
-    BenchCli(int argc, char **argv, std::string name);
-
-    /**
-     * Embedded constructor (no argv): bench/run_matrix gives one to
-     * each experiment it runs. The document is built as usual but
-     * finish() never writes a file — run_matrix collects it via
-     * document(). `smoke` asks the experiment for its reduced form.
-     */
-    BenchCli(std::string name, bool smoke);
+    /** An empty document for the named bench; `smoke` asks an
+     *  experiment for its reduced form (run_matrix --smoke). */
+    explicit BenchCli(std::string name, bool smoke = false);
 
     /** True when run_matrix --smoke asked for the reduced experiment. */
     bool smoke() const { return smoke_; }
@@ -106,9 +71,9 @@ class BenchCli
     double elapsedSeconds() const;
 
     /** Finalize the document (timings, throughput, cache counters) and
-     *  write it if a destination is set. Returns the process exit
-     *  code. */
-    int finish();
+     *  write it to jsonPath unless that is empty. Returns the process
+     *  exit code: 1 when the file cannot be written. */
+    int finish(const std::string &jsonPath = {});
 
     /** The document built so far (complete after finish()). */
     const json::Value &document() const { return doc_; }
@@ -117,7 +82,6 @@ class BenchCli
     void finalizeDoc();
 
     std::string name_;
-    OutputSpec spec_;
     bool smoke_ = false;
     json::Value doc_ = json::Value::object();
     std::chrono::steady_clock::time_point start_;

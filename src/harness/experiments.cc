@@ -1,5 +1,6 @@
 #include "harness/experiments.hh"
 
+#include <cmath>
 #include <map>
 #include <optional>
 
@@ -62,7 +63,7 @@ runNormalizedExperiment(const std::vector<SeriesSpec> &series,
             r == 0 ? BinaryVariant::Normal : series[r - 1].variant;
         const SimParams &p =
             r == 0 ? baselineParams : series[r - 1].params;
-        runs[k] = run(RunRequest{progs[b].at(v), p});
+        runs[k] = run(progs[b].at(v), p);
     });
 
     // Reassemble in benchmark/series order: identical arithmetic to a
@@ -123,6 +124,15 @@ printNormalized(std::ostream &os, const NormalizedResults &r)
         avgnRow.push_back(Table::num(v));
     t.addRow(std::move(avgnRow));
     t.print(os);
+}
+
+double
+geomean(const std::vector<double> &xs)
+{
+    double acc = 0.0;
+    for (double x : xs)
+        acc += std::log(x);
+    return xs.empty() ? 0.0 : std::exp(acc / xs.size());
 }
 
 } // namespace wisc

@@ -65,6 +65,9 @@ NormalizedResults runNormalizedExperiment(
 /** Print a NormalizedResults matrix as the paper-style table. */
 void printNormalized(std::ostream &os, const NormalizedResults &r);
 
+/** Geometric mean of positive values; 0 for an empty list. */
+double geomean(const std::vector<double> &xs);
+
 } // namespace wisc
 
 #endif // WISC_HARNESS_EXPERIMENTS_HH_

@@ -15,19 +15,19 @@
  *    process no matter how many experiments request it.
  *
  *  - Layer 2, persistent cache: an optional content-addressed on-disk
- *    store (`--cache DIR` on run_matrix and the bench tools) holding
- *    the *complete* RunOutcome — SimResult, every counter, histogram,
- *    and table — in a versioned, checksummed binary format written via
- *    tmp+rename so readers never see a partial entry. The format is
+ *    store (`run_matrix --cache DIR`) holding the *complete*
+ *    RunOutcome — SimResult, every counter, histogram, and table — in
+ *    a versioned, checksummed binary format written via tmp+rename so
+ *    readers never see a partial entry. The format is
  *    stated once, as StateIO walks (common/bytes.hh) of the entry frame
  *    and of the RunOutcome that both encode and decode run. Corrupt,
  *    truncated, or version-mismatched entries are rejected (warned once
  *    each, counted) and fall back to a fresh simulation that overwrites
  *    the bad entry.
  *
- * The global() instance backs run(RunRequest). It starts as
- * a pure pass-through (no memo, no disk) so unit tests exercise real
- * simulations unless they opt in; BenchCli opts every bench program in.
+ * The global() instance backs run(prog, params). It starts as a pure
+ * pass-through (no memo, no disk), so tests, examples and tools
+ * simulate every request; run_matrix alone opts in.
  */
 
 #ifndef WISC_HARNESS_RUN_CACHE_HH_
@@ -112,12 +112,12 @@ class RunService
      *  persistent layer is off). Exposed for tests and tooling. */
     std::string entryPath(const RunKey &key) const;
 
-    /** The process-wide service behind run(RunRequest). Constructed
-     *  on first use as a pure pass-through: no memoization and no
-     *  persistent layer until something — normally BenchCli, from
-     *  its --cache flag — turns them on. No code reads a cache
-     *  directory from the environment, so tests and tools that call
-     *  run() directly always simulate. */
+    /** The process-wide service behind run(prog, params).
+     *  Constructed on first use as a pure pass-through: no
+     *  memoization and no persistent layer until run_matrix turns
+     *  them on (the store only from its --cache flag). No code reads
+     *  a cache directory from the environment, so tests and tools
+     *  that call run() directly always simulate. */
     static RunService &global();
 
   private:

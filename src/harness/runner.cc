@@ -58,19 +58,9 @@ RunOutcome::require(const std::string &name) const
 }
 
 RunOutcome
-run(const RunRequest &req)
+run(const Program &prog, const SimParams &params)
 {
-    wisc_assert((req.program != nullptr) != (req.workload != nullptr),
-                "RunRequest needs exactly one program source");
-    Program built;
-    const Program *prog = req.program;
-    if (!prog) {
-        built = programFor(*req.workload, req.variant, req.input);
-        prog = &built;
-    }
-    if (req.cache == RunRequest::CachePolicy::Bypass || !req.sinks.empty())
-        return captureRun(*prog, req.params, req.sinks);
-    return RunService::global().run(*prog, req.params);
+    return RunService::global().run(prog, params);
 }
 
 } // namespace wisc

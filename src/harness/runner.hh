@@ -1,18 +1,16 @@
 /**
  * @file
- * Experiment runner: executes a compiled workload variant (or a raw
- * Program) on the timing core and captures both the headline result and
- * a snapshot of every statistic — counters, histograms, *and* tables —
+ * Experiment runner: executes a Program (a workload variant comes from
+ * programFor()) on the timing core and captures both the headline result
+ * and a snapshot of every statistic — counters, histograms, *and* tables —
  * so experiment binaries can post-process freely (and the JSON emitter
  * can serialize complete runs).
  *
- * The single entry point is run(RunRequest): the request names the
- * program (directly or as workload+variant+input), the machine
- * configuration, the cache policy, and any probe sinks to attach.
- * Cacheable requests are served through the global RunService, so
- * identical requests dedup/replay when the run cache is enabled;
- * requests carrying sinks always simulate (a replay could not feed
- * the observers).
+ * run(prog, params) is the one cached request: it is served through
+ * the global RunService, so identical requests dedup/replay when the
+ * run cache is on (run_matrix turns it on). captureRun() always
+ * simulates; timed legs and runs that attach probe sinks call it,
+ * because a replay could neither be timed nor drive the observers.
  */
 
 #ifndef WISC_HARNESS_RUNNER_HH_
@@ -80,47 +78,8 @@ struct RunOutcome
     }
 };
 
-/**
- * One simulation request: what to run, on which machine, how to cache
- * it, and which observers ride along. Construct from a Program or from
- * a workload triple; tweak fields before calling run().
- */
-struct RunRequest
-{
-    enum class CachePolicy : std::uint8_t
-    {
-        Default, ///< serve through the global RunService
-        Bypass,  ///< always simulate; never consult or populate caches
-    };
-
-    /** Program source: exactly one of 'program' or 'workload' is set. */
-    const Program *program = nullptr;
-    const CompiledWorkload *workload = nullptr;
-    BinaryVariant variant = BinaryVariant::Normal;
-    InputSet input = InputSet::B;
-
-    SimParams params;
-    CachePolicy cache = CachePolicy::Default;
-
-    /** Probe sinks attached for the run (uarch/probe.hh). A request
-     *  with sinks always simulates fresh: replayed statistics could
-     *  not drive the observers. */
-    std::vector<ProbeSink *> sinks;
-
-    RunRequest(const Program &prog, SimParams p = SimParams{})
-        : program(&prog), params(p)
-    {
-    }
-
-    RunRequest(const CompiledWorkload &w, BinaryVariant v, InputSet in,
-               SimParams p = SimParams{})
-        : workload(&w), variant(v), input(in), params(p)
-    {
-    }
-};
-
-/** Execute one request (see RunRequest). */
-RunOutcome run(const RunRequest &req);
+/** Execute one simulation through RunService::global(). */
+RunOutcome run(const Program &prog, const SimParams &params = {});
 
 /**
  * The always-simulate primitive beneath run(): execute the program and

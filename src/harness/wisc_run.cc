@@ -14,13 +14,13 @@
  * compiled kernel.
  */
 
-#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
 #include "common/log.hh"
+#include "common/parse.hh"
 #include "compiler/dot.hh"
 #include "harness/runner.hh"
 #include "uarch/pipetrace.hh"
@@ -31,7 +31,7 @@ namespace {
 using namespace wisc;
 
 int
-usage()
+usage(int code)
 {
     std::cout <<
         "usage: wisc-run --list\n"
@@ -63,26 +63,23 @@ usage()
         "  --branch-profile\n"
         "                  collect the per-static-branch profile table\n"
         "  --pipeview N    render a pipeline diagram of the first N uops\n";
-    return 2;
+    return code;
 }
 
-/** Parse a whole decimal count: digits only (from_chars takes no sign
- *  or space for an unsigned type), no overflow, nothing after. */
+/** A malformed command line: main() prints it with the usage and
+ *  exits 2. Errors of the run itself are FatalErrors and exit 1. */
+struct UsageError
+{
+    std::string msg;
+};
+
 template <typename T>
-bool
-parseCount(const std::string &s, T &out)
+void
+countArg(const std::string &flag, const std::string &value, T &out)
 {
-    const char *last = s.data() + s.size();
-    auto [end, ec] = std::from_chars(s.data(), last, out);
-    return ec == std::errc() && end == last;
-}
-
-int
-badCount(const std::string &flag, const char *value)
-{
-    std::cerr << flag << " wants a non-negative integer, got '" << value
-              << "'\n";
-    return usage();
+    if (!parseCount(value, out))
+        throw UsageError{flag + " wants a non-negative integer, got '" +
+                         value + "'"};
 }
 
 BinaryVariant
@@ -93,7 +90,7 @@ parseVariant(const std::string &v)
     if (v == "base-max") return BinaryVariant::BaseMax;
     if (v == "wish-jj") return BinaryVariant::WishJumpJoin;
     if (v == "wish-jjl") return BinaryVariant::WishJumpJoinLoop;
-    wisc_fatal("unknown variant '", v, "'");
+    throw UsageError{"unknown variant '" + v + "'"};
 }
 
 InputSet
@@ -102,7 +99,7 @@ parseInput(const std::string &v)
     if (v == "A" || v == "a") return InputSet::A;
     if (v == "B" || v == "b") return InputSet::B;
     if (v == "C" || v == "c") return InputSet::C;
-    wisc_fatal("unknown input set '", v, "'");
+    throw UsageError{"unknown input set '" + v + "'"};
 }
 
 } // namespace
@@ -119,7 +116,8 @@ main(int argc, char **argv)
 
     auto next = [&](int &i) -> std::string {
         if (i + 1 >= argc)
-            wisc_fatal("missing argument after ", argv[i]);
+            throw UsageError{std::string("missing argument after ") +
+                             argv[i]};
         return argv[++i];
     };
 
@@ -139,13 +137,11 @@ main(int argc, char **argv)
             } else if (a == "--input") {
                 input = parseInput(next(i));
             } else if (a == "--rob") {
-                if (!parseCount(next(i), params.robSize))
-                    return badCount(a, argv[i]);
+                countArg(a, next(i), params.robSize);
                 params.iqSize = params.robSize / 4;
                 params.lsqSize = params.robSize / 2;
             } else if (a == "--stages") {
-                if (!parseCount(next(i), params.pipelineStages))
-                    return badCount(a, argv[i]);
+                countArg(a, next(i), params.pipelineStages);
             } else if (a == "--select-uop") {
                 params.predMech = PredMechanism::SelectUop;
             } else if (a == "--no-wish") {
@@ -161,8 +157,9 @@ main(int argc, char **argv)
                 else if (m == "fetch-gate")
                     params.dynPred = DynPredMode::FetchGate;
                 else
-                    wisc_fatal("--dyn-pred wants off | merge-point | "
-                               "fetch-gate, got '", m, "'");
+                    throw UsageError{"--dyn-pred wants off | "
+                                     "merge-point | fetch-gate, got '" +
+                                     m + "'"};
             } else if (a == "--perfect-cbp") {
                 params.oracle.perfectCBP = true;
             } else if (a == "--perfect-conf") {
@@ -178,22 +175,20 @@ main(int argc, char **argv)
             } else if (a == "--branch-profile") {
                 params.collectBranchProfile = true;
             } else if (a == "--pipeview") {
-                if (!parseCount(next(i), pipeview))
-                    return badCount(a, argv[i]);
+                countArg(a, next(i), pipeview);
             } else if (a == "--listing") {
                 listing = true;
             } else if (a == "--dot") {
                 dot = true;
             } else if (a == "--help" || a == "-h") {
-                return usage();
+                return usage(0);
             } else {
-                std::cerr << "unknown option: " << a << "\n";
-                return usage();
+                throw UsageError{"unknown option: " + a};
             }
         }
 
         if (workload.empty() && asmFile.empty())
-            return usage();
+            return usage(2);
 
         Program prog;
         if (!asmFile.empty()) {
@@ -238,6 +233,9 @@ main(int argc, char **argv)
         if (dumpStats)
             stats.dump(std::cout);
         return r.halted ? 0 : 1;
+    } catch (const UsageError &e) {
+        std::cerr << e.msg << "\n";
+        return usage(2);
     } catch (const wisc::FatalError &e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <map>
 #include <sstream>
 #include <vector>
 
@@ -82,21 +81,6 @@ parseImm(const std::string &tok, int line)
     return static_cast<Word>(v);
 }
 
-const std::map<std::string, Opcode> &
-mnemonics()
-{
-    static const std::map<std::string, Opcode> table = [] {
-        std::map<std::string, Opcode> m;
-        for (unsigned i = 0;
-             i < static_cast<unsigned>(Opcode::NumOpcodes); ++i) {
-            auto op = static_cast<Opcode>(i);
-            m[opcodeName(op)] = op;
-        }
-        return m;
-    }();
-    return table;
-}
-
 } // namespace
 
 Program
@@ -166,10 +150,10 @@ assemble(const std::string &source)
         else if (mnem == "wish.join") { mnem = "br"; wk = WishKind::Join; }
         else if (mnem == "wish.loop") { mnem = "br"; wk = WishKind::Loop; }
 
-        auto it = mnemonics().find(mnem);
-        if (it == mnemonics().end())
+        std::optional<Opcode> op = opcodeByName(mnem);
+        if (!op)
             asmError(lineno, "unknown mnemonic '" + mnem + "'");
-        inst.op = it->second;
+        inst.op = *op;
         inst.wish = wk;
 
         auto need = [&](std::size_t n) {

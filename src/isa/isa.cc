@@ -1,5 +1,6 @@
 #include "isa/isa.hh"
 
+#include <map>
 #include <sstream>
 
 namespace wisc {
@@ -31,6 +32,24 @@ predecodeFlags(const Instruction &inst)
     if (inst.qp != 0 && inst.writesReg() && inst.op != Opcode::Br)
         f |= kPreSelectShape;
     return f;
+}
+
+std::optional<Opcode>
+opcodeByName(std::string_view name)
+{
+    static const std::map<std::string_view, Opcode> table = [] {
+        std::map<std::string_view, Opcode> m;
+        for (unsigned i = 0;
+             i < static_cast<unsigned>(Opcode::NumOpcodes); ++i) {
+            auto op = static_cast<Opcode>(i);
+            m.emplace(opcodeName(op), op);
+        }
+        return m;
+    }();
+    auto it = table.find(name);
+    if (it == table.end())
+        return std::nullopt;
+    return it->second;
 }
 
 const char *

@@ -20,7 +20,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/types.hh"
 
@@ -164,6 +166,13 @@ isCompare(Opcode op)
     return opForm(op) == OpForm::PRR || opForm(op) == OpForm::PRI;
 }
 
+/** True iff the opcode combines predicates (PNot, PAnd, POr). */
+constexpr bool
+isPredOp(Opcode op)
+{
+    return opForm(op) == OpForm::PP || opForm(op) == OpForm::PPP;
+}
+
 /** Wish-branch hint (the wtype field of Figure 7; None == btype 0). */
 enum class WishKind : std::uint8_t
 {
@@ -304,6 +313,9 @@ opcodeName(Opcode op)
 {
     return kOpInfo[static_cast<std::size_t>(op)].name;
 }
+
+/** Inverse of opcodeName(); nullopt for an unknown mnemonic. */
+std::optional<Opcode> opcodeByName(std::string_view name);
 
 /** Mnemonic suffix for a wish kind ("", "wish.jump", ...). */
 const char *wishKindName(WishKind w);

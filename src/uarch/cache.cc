@@ -122,7 +122,7 @@ MemorySystem::loadAccess(Addr addr, Cycle now)
 }
 
 void
-MemorySystem::storeAccess(Addr addr)
+MemorySystem::tagAccess(Addr addr)
 {
     if (!dl1_.access(addr))
         l2_.access(addr);
@@ -141,19 +141,6 @@ MemorySystem::warmText(Addr base, Addr bytes)
         il1_.access(a);
         l2_.access(a);
     }
-}
-
-void
-MemorySystem::warmLoad(Addr addr)
-{
-    if (!dl1_.access(addr))
-        l2_.access(addr);
-}
-
-void
-MemorySystem::warmStore(Addr addr)
-{
-    storeAccess(addr);
 }
 
 void

@@ -81,23 +81,19 @@ class MemorySystem
      *  instead of hitting instantly. */
     unsigned loadAccess(Addr addr, Cycle now);
 
-    /** Data store at retirement: updates tag state; latency is absorbed
-     *  by the store buffer and not returned. */
-    void storeAccess(Addr addr);
+    /** Tag-only data access: L1D, then L2 on a miss, with no latency
+     *  and no fill bookkeeping. A store at retirement uses it (the
+     *  store buffer absorbs its latency), and so do the sampled
+     *  fast-forward's loads and stores: the functional engine has no
+     *  cycle clock, and a checkpoint taken from it starts the window
+     *  with no fills in flight. */
+    void tagAccess(Addr addr);
 
     /** Would a load of this address hit in the L1D right now? */
     bool loadWouldHitL1(Addr addr) const;
 
     /** Pre-touch a text range into L1I/L2 (warm instruction image). */
     void warmText(Addr base, Addr bytes);
-
-    /** Functional-warming accesses (sampled fast-forward): identical
-     *  tag/LRU effect to loadAccess/storeAccess but with no fill-timing
-     *  bookkeeping — the functional engine has no cycle clock, and a
-     *  checkpoint taken from it starts the window with no fills in
-     *  flight. */
-    void warmLoad(Addr addr);
-    void warmStore(Addr addr);
 
     /** Walk tag/LRU state of all three caches plus the in-flight fill
      *  ledger (ready cycles are absolute, so a restore must also

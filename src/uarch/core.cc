@@ -814,8 +814,7 @@ Core::processControl(DynInst &di)
                 oracle.perfectConfidence
                     ? (predictorTaken == di.step.taken)
                     : conf_->estimate(idx, di.ckpt.globalHistory);
-            wish_.setBranchPredicate(si.qp);
-            WishDecision d = wish_.onWishBranch(idx, si.wish,
+            WishDecision d = wish_.onWishBranch(idx, si.wish, si.qp,
                                                 predictorTaken, highConf,
                                                 si.target);
             effective = d.effectiveTaken;
@@ -1461,7 +1460,7 @@ Core::stageRetire()
 
         if (di.isStoreOp() && !di.memSkipped) {
             if (di.selectPart != 1)
-                memsys_.storeAccess(di.memAddr);
+                memsys_.tagAccess(di.memAddr);
             if (di.selectPart != 2)
                 unindexStore(di.seq, di.memAddr, di.memSize);
         }
@@ -1596,12 +1595,9 @@ struct Core::FastForwardHooks
     }
 
     void
-    onMem(Addr ea, unsigned, bool isStore)
+    onMem(Addr ea, unsigned, bool)
     {
-        if (isStore)
-            core.memsys_.warmStore(ea);
-        else
-            core.memsys_.warmLoad(ea);
+        core.memsys_.tagAccess(ea);
     }
 };
 

@@ -5,8 +5,8 @@
  * diagram — the classic F-R-I-C-W view — for inspection and debugging.
  *
  * PipeTracer is a ProbeSink (uarch/probe.hh): attach it to a Core via
- * addSink(), or pass it through RunRequest::sinks. The wisc-run CLI
- * exposes it as --pipeview N.
+ * addSink(), or pass it to captureRun() (harness/runner.hh). The
+ * wisc-run CLI exposes it as --pipeview N.
  */
 
 #ifndef WISC_UARCH_PIPETRACE_HH_

@@ -28,7 +28,6 @@ WishEngine::io(StateIO &io)
         io(v);
     for (PredIdx &p : complementOf_)
         io(p);
-    io(branchPred_);
     io.map(loopTrips_, [&](std::uint32_t &pc, LoopTripState &t) {
         io(pc, t.fetchIter, t.ewmaTrip4, t.recordedThisInstance);
     });
@@ -57,7 +56,7 @@ WishEngine::armPredicateBuffer(PredIdx srcPred, bool value)
 }
 
 WishDecision
-WishEngine::onWishBranch(std::uint32_t pc, WishKind kind,
+WishEngine::onWishBranch(std::uint32_t pc, WishKind kind, PredIdx qp,
                          bool predictorTaken, bool highConf,
                          std::uint32_t takenTarget)
 {
@@ -117,7 +116,7 @@ WishEngine::onWishBranch(std::uint32_t pc, WishKind kind,
             d.branchMode = FrontEndMode::HighConf;
             // Predicate predicted: TRUE when the loop is predicted to
             // iterate again.
-            armPredicateBuffer(branchPred_, predictorTaken);
+            armPredicateBuffer(qp, predictorTaken);
             if (!predictorTaken)
                 mode_ = FrontEndMode::Normal; // immediately exited
             return d;
@@ -148,7 +147,7 @@ WishEngine::onWishBranch(std::uint32_t pc, WishKind kind,
         d.branchMode = FrontEndMode::HighConf;
         // §3.5.3: predict the branch's source predicate so predicated
         // instructions need not wait for it.
-        armPredicateBuffer(branchPred_, predictorTaken);
+        armPredicateBuffer(qp, predictorTaken);
         return d;
     }
 

@@ -73,11 +73,13 @@ class WishEngine
     }
 
     /**
-     * Fetch calls this for each wish branch. 'predictorTaken' is the raw
-     * branch predictor output, 'highConf' the confidence estimate for
-     * it, and 'takenTarget' the branch's taken target.
+     * Fetch calls this for each wish branch. 'qp' is the branch's own
+     * predicate (its condition), which a high-confidence decision arms
+     * in the predicate buffer; 'predictorTaken' is the raw branch
+     * predictor output, 'highConf' the confidence estimate for it, and
+     * 'takenTarget' the branch's taken target.
      */
-    WishDecision onWishBranch(std::uint32_t pc, WishKind kind,
+    WishDecision onWishBranch(std::uint32_t pc, WishKind kind, PredIdx qp,
                               bool predictorTaken, bool highConf,
                               std::uint32_t takenTarget);
 
@@ -159,14 +161,6 @@ class WishEngine
 
     Counter *lowEntries_;
     Counter *highEntries_;
-    /** The branch's own qp, needed when arming the buffer. Set by fetch
-     *  via setBranchPredicate() before onWishBranch(). */
-    PredIdx branchPred_ = 0;
-
-  public:
-    /** Fetch provides the wish branch's source predicate register just
-     *  before calling onWishBranch(). */
-    void setBranchPredicate(PredIdx p) { branchPred_ = p; }
 };
 
 } // namespace wisc

@@ -17,7 +17,6 @@
 
 #include <string>
 
-#include "harness/run_cache.hh"
 #include "harness/runner.hh"
 #include "uarch/attribution.hh"
 
@@ -49,9 +48,7 @@ attributedRun(const CompiledWorkload &w, BinaryVariant v,
     SimParams p = base;
     p.collectAttribution = true;
     p.collectBranchProfile = true;
-    RunRequest req{w, v, InputSet::A, p};
-    req.cache = RunRequest::CachePolicy::Bypass;
-    return run(req);
+    return captureRun(programFor(w, v, InputSet::A), p);
 }
 
 /** Every benchmark × every binary variant: the CPI stack must account
@@ -205,34 +202,6 @@ TEST(ProbeApi, AttributionAddsStatsWithoutPerturbingAny)
     for (const auto &kv : attr.stats)
         if (!plain.stats.count(kv.first))
             EXPECT_EQ(kv.first.rfind("attrib.", 0), 0u) << kv.first;
-}
-
-/** Requests that attach sinks must bypass the cache: a replayed
- *  outcome cannot drive observers. */
-TEST(ProbeApi, SinkRequestsBypassTheRunCache)
-{
-    RunService &svc = RunService::global();
-    const bool oldMemo = svc.memoize();
-    svc.setMemoize(true);
-
-    CompiledWorkload w = compileWorkload("gzip");
-    Program prog = programFor(w, BinaryVariant::Normal, InputSet::A);
-    const RunCacheStats before = svc.stats();
-
-    ProbeSink null;
-    RunRequest req{prog, SimParams{}};
-    req.sinks.push_back(&null);
-    RunOutcome a = run(req);
-    RunOutcome b = run(req);
-    EXPECT_EQ(a.result.cycles, b.result.cycles);
-
-    const RunCacheStats after = svc.stats();
-    EXPECT_EQ(after.dedupHits, before.dedupHits)
-        << "sink-carrying requests must not be served from memo";
-    EXPECT_EQ(after.misses, before.misses)
-        << "sink-carrying requests must not populate the service";
-
-    svc.setMemoize(oldMemo);
 }
 
 } // namespace

@@ -105,7 +105,7 @@ TEST(MemorySystemTest, StoreAllocates)
     SimParams p;
     StatSet stats;
     MemorySystem mem(p, stats);
-    mem.storeAccess(0x40000);
+    mem.tagAccess(0x40000);
     EXPECT_TRUE(mem.loadWouldHitL1(0x40000));
 }
 

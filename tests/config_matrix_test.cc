@@ -60,9 +60,9 @@ TEST_P(ConfigMatrix, WishBinaryRunsCorrectly)
 
     // checkFinalState (on by default) panics on any architectural
     // divergence from the reference emulator.
-    RunOutcome r = run(RunRequest{workload(),
-                                  BinaryVariant::WishJumpJoinLoop,
-                                  InputSet::A, p});
+    RunOutcome r = run(
+        programFor(workload(), BinaryVariant::WishJumpJoinLoop, InputSet::A),
+        p);
     ASSERT_TRUE(r.result.halted);
     EXPECT_GT(r.result.ipc(), 0.05);
     EXPECT_LT(r.result.ipc(), 8.0);
@@ -77,9 +77,9 @@ TEST(ConfigMonotonicity, SmallerWindowIsNotFaster)
     small.iqSize = 16;
     small.lsqSize = 32;
     RunOutcome rb =
-        run(RunRequest{w, BinaryVariant::Normal, InputSet::A, big});
+        run(programFor(w, BinaryVariant::Normal, InputSet::A), big);
     RunOutcome rs =
-        run(RunRequest{w, BinaryVariant::Normal, InputSet::A, small});
+        run(programFor(w, BinaryVariant::Normal, InputSet::A), small);
     EXPECT_GE(rs.result.cycles, rb.result.cycles);
 }
 
@@ -91,9 +91,9 @@ TEST(ConfigMonotonicity, DeeperPipelineIsNotFaster)
     SimParams deep;
     deep.pipelineStages = 30;
     RunOutcome rs =
-        run(RunRequest{w, BinaryVariant::Normal, InputSet::A, shallow});
+        run(programFor(w, BinaryVariant::Normal, InputSet::A), shallow);
     RunOutcome rd =
-        run(RunRequest{w, BinaryVariant::Normal, InputSet::A, deep});
+        run(programFor(w, BinaryVariant::Normal, InputSet::A), deep);
     EXPECT_GE(rd.result.cycles, rs.result.cycles);
 }
 
@@ -104,9 +104,9 @@ TEST(ConfigMonotonicity, FewerMshrsAreNotFaster)
     SimParams few = many;
     few.maxOutstandingMisses = 1;
     RunOutcome rm =
-        run(RunRequest{w, BinaryVariant::Normal, InputSet::A, many});
+        run(programFor(w, BinaryVariant::Normal, InputSet::A), many);
     RunOutcome rf =
-        run(RunRequest{w, BinaryVariant::Normal, InputSet::A, few});
+        run(programFor(w, BinaryVariant::Normal, InputSet::A), few);
     EXPECT_GE(rf.result.cycles, rm.result.cycles);
 }
 
@@ -125,8 +125,8 @@ TEST(ConfigOracle, WishBinariesRunUnderEveryOracle)
             p.oracle.noDepend = true;
             p.oracle.noFetch = true;
         }
-        RunOutcome r = run(RunRequest{
-            w, BinaryVariant::WishJumpJoinLoop, InputSet::A, p});
+        RunOutcome r = run(
+            programFor(w, BinaryVariant::WishJumpJoinLoop, InputSet::A), p);
         EXPECT_TRUE(r.result.halted) << "oracle knob " << knob;
         if (knob == 0)
             EXPECT_EQ(r.stat("core.flushes"), 0u)

@@ -262,15 +262,6 @@ TEST(StateDiff, SeesWriteOnOneSideOnly)
     EXPECT_EQ(d.got, 5u);
 }
 
-TEST(StateDiff, FingerprintIgnoresPredicates)
-{
-    ArchState a, b;
-    b.writePred(3, true);
-    EXPECT_EQ(stateFingerprint(a), stateFingerprint(b));
-    b.writeReg(1, 1);
-    EXPECT_NE(stateFingerprint(a), stateFingerprint(b));
-}
-
 // ------------------------------------------------------- non-halt hard paths
 
 TEST(NonHalt, EmulatorReportsStepLimit)

@@ -29,8 +29,8 @@ main()
         if (it == compiled.end())
             it = compiled.emplace(spec.workload,
                                   compileWorkload(spec.workload)).first;
-        RunOutcome o = run(RunRequest{it->second, spec.variant,
-                                      spec.input, spec.params});
+        RunOutcome o = run(
+            programFor(it->second, spec.variant, spec.input), spec.params);
 
         std::printf("{ \"%s\",\n", spec.label.c_str());
         std::printf("  { %lluull, %lluull, %lluull, %lluull },\n",

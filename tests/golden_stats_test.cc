@@ -77,8 +77,8 @@ TEST_P(GoldenStats, FullStatSetBitIdentical)
     if (it == compiled.end())
         it = compiled.emplace(spec.workload,
                               compileWorkload(spec.workload)).first;
-    RunOutcome o = run(RunRequest{it->second, spec.variant, spec.input,
-                                  spec.params});
+    RunOutcome o = run(
+        programFor(it->second, spec.variant, spec.input), spec.params);
 
     EXPECT_EQ(o.result.cycles, g.result[0]);
     EXPECT_EQ(o.result.retiredUops, g.result[1]);

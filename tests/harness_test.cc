@@ -2,8 +2,7 @@
  * @file
  * Tests for the experiment harness: the runner captures statistics, the
  * normalized-experiment scaffolding computes AVG/AVGnomcf the way the
- * paper does (§2.2 footnote 2), results are reproducible, and the bench
- * command line rejects flags it does not implement.
+ * paper does (§2.2 footnote 2), and results are reproducible.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +10,6 @@
 #include <sstream>
 #include <string>
 
-#include "harness/bench_cli.hh"
 #include "harness/experiments.hh"
 #include "harness/runner.hh"
 
@@ -21,7 +19,7 @@ namespace {
 TEST(RunnerTest, CapturesStatsSnapshot)
 {
     CompiledWorkload w = compileWorkload("crafty");
-    RunOutcome r = run(RunRequest{w, BinaryVariant::Normal, InputSet::A});
+    RunOutcome r = run(programFor(w, BinaryVariant::Normal, InputSet::A));
     EXPECT_TRUE(r.result.halted);
     EXPECT_GT(r.stat("core.cycles"), 0u);
     EXPECT_GT(r.stat("core.retired_uops"), 0u);
@@ -32,7 +30,7 @@ TEST(RunnerTest, CapturesStatsSnapshot)
 TEST(RunnerTest, CapturesHistogramSnapshot)
 {
     CompiledWorkload w = compileWorkload("crafty");
-    RunOutcome r = run(RunRequest{w, BinaryVariant::Normal, InputSet::A});
+    RunOutcome r = run(programFor(w, BinaryVariant::Normal, InputSet::A));
     // The core always registers these histograms; losing them in
     // capture() was a real stat-export bug.
     ASSERT_TRUE(r.hists.count("core.fetch_width"));
@@ -54,7 +52,7 @@ TEST(RunnerTest, CapturesHistogramSnapshot)
 TEST(RunnerTest, RequirePanicsOnUnknownStat)
 {
     CompiledWorkload w = compileWorkload("crafty");
-    RunOutcome r = run(RunRequest{w, BinaryVariant::Normal, InputSet::A});
+    RunOutcome r = run(programFor(w, BinaryVariant::Normal, InputSet::A));
     EXPECT_EQ(r.require("core.cycles"), r.result.cycles);
     EXPECT_THROW(r.require("core.cycels"), FatalError);
     // stat() stays tolerant for registration-on-first-event names.
@@ -65,26 +63,11 @@ TEST(RunnerTest, RunsAreReproducible)
 {
     CompiledWorkload w = compileWorkload("crafty");
     RunOutcome a = run(
-        RunRequest{w, BinaryVariant::WishJumpJoinLoop, InputSet::A});
+        programFor(w, BinaryVariant::WishJumpJoinLoop, InputSet::A));
     RunOutcome b = run(
-        RunRequest{w, BinaryVariant::WishJumpJoinLoop, InputSet::A});
+        programFor(w, BinaryVariant::WishJumpJoinLoop, InputSet::A));
     EXPECT_EQ(a.result.cycles, b.result.cycles);
     EXPECT_EQ(a.stat("core.flushes"), b.stat("core.flushes"));
-}
-
-TEST(BenchCliDeathTest, ObservationFlagsAreUsageErrors)
-{
-    // No bench program implements --cpi-stack/--branch-profile
-    // (wisc-run does), and BenchCli reads no environment for a
-    // --no-cache to override, so each must fail as a usage error
-    // rather than be accepted and silently dropped.
-    for (std::string flag : {"--cpi-stack", "--branch-profile",
-                             "--no-cache"}) {
-        std::string name = "bench";
-        char *argv[] = {name.data(), flag.data(), nullptr};
-        EXPECT_EXIT(BenchCli(2, argv, name), ::testing::ExitedWithCode(2),
-                    "unknown option '" + flag + "'");
-    }
 }
 
 TEST(ExperimentTest, NormalizedAveragesExcludeMcf)

@@ -136,7 +136,7 @@ TEST(ParallelExperimentTest, OversubscribedPoolIsRaceFree)
     pool.forEach(8, [&](std::size_t i) {
         CompiledWorkload w = compileWorkload(i % 2 ? "gap" : "crafty");
         RunOutcome r = run(
-            RunRequest{w, BinaryVariant::WishJumpJoinLoop, InputSet::A});
+            programFor(w, BinaryVariant::WishJumpJoinLoop, InputSet::A));
         EXPECT_TRUE(r.result.halted);
         totalCycles += r.result.cycles;
     });
