@@ -406,6 +406,59 @@ TEST(RunCacheDiskTest, EncodeDecodeRoundTripsExactly)
                          scratch));
 }
 
+/** Lowercase hex of every byte, two digits each. */
+std::string
+toHex(const std::string &bytes)
+{
+    static const char *digits = "0123456789abcdef";
+    std::string s;
+    for (unsigned char c : bytes) {
+        s += digits[c >> 4];
+        s += digits[c & 0xf];
+    }
+    return s;
+}
+
+/** The v2 entry layout, byte for byte: a change to how a result,
+ *  counter, histogram or table is written must fail here, not
+ *  silently orphan every cache directory written before it. */
+TEST(RunCacheDiskTest, EntryBytesArePinned)
+{
+    RunOutcome out;
+    out.result = {.halted = true,
+                  .cycles = 1000,
+                  .retiredUops = 800,
+                  .resultReg = -2,
+                  .memFingerprint = 0x0123456789abcdefull};
+    out.stats["core.cycles"] = 1000;
+    out.stats["core.flushes"] = 7;
+    out.hists["core.fetch_width"] = HistogramSnapshot{{2, 0, 1}, 3};
+    TableSnapshot t;
+    t.columns = {"count", "mispred"};
+    t.rows[0x40] = {9, 4};
+    t.rows[0x80] = {5, 0};
+    out.tables["core.branch_profile"] = t;
+
+    const RunKey key{0x1122334455667788ull, 0x99aabbccddeeff00ull};
+    const std::string bytes = encodeRunOutcome(key, out);
+    EXPECT_EQ(toHex(bytes),
+              "5749534352554e0002000000887766554433221100ffeeddccbbaa992a010000"
+              "0000000001000000e8030000000000002003000000000000feffffffffffffff"
+              "efcdab896745230102000000000000000b00000000000000636f72652e637963"
+              "6c6573e8030000000000000c00000000000000636f72652e666c757368657307"
+              "0000000000000001000000000000001000000000000000636f72652e66657463"
+              "685f776964746803000000000000000300000000000000020000000000000000"
+              "0000000000000001000000000000000100000000000000130000000000000063"
+              "6f72652e6272616e63685f70726f66696c650200000000000000050000000000"
+              "0000636f756e7407000000000000006d69737072656402000000000000004000"
+              "0000000000000900000000000000040000000000000080000000000000000500"
+              "0000000000000000000000000000951960beb6d7335b");
+
+    RunOutcome back;
+    ASSERT_TRUE(decodeRunOutcome(bytes, key, back));
+    expectOutcomesIdentical(out, back);
+}
+
 /** Runs that produce StatTables (attribution observability on) must
  *  survive the v2 entry format: encode/decode round-trips the tables
  *  exactly, and a second service replays them from disk. */
