@@ -1,85 +1,35 @@
 #include "common/stats.hh"
 
 #include <iomanip>
+#include <string_view>
 
 namespace wisc {
 
-Counter &
-StatSet::counter(const std::string &name, const std::string &desc)
-{
-    if (const char *kind = kindOf(name); kind && kind[0] != 'c')
-        wisc_fatal("statistic '", name, "' is a ", kind,
-                   "; cannot re-register it as a counter");
-    auto &e = counters_[name];
-    if (e.desc.empty())
-        e.desc = desc;
-    return e.counter;
-}
-
-Histogram &
-StatSet::histogram(const std::string &name, std::size_t buckets,
-                   const std::string &desc)
-{
-    if (buckets == 0)
-        wisc_fatal("histogram '", name, "' registered with zero buckets");
-    if (const char *kind = kindOf(name); kind && kind[0] != 'h')
-        wisc_fatal("statistic '", name, "' is a ", kind,
-                   "; cannot re-register it as a histogram");
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-        it = histograms_.emplace(name, HistEntry{desc, Histogram(buckets)})
-                 .first;
-    }
-    return it->second.hist;
-}
-
-StatTable &
-StatSet::table(const std::string &name, std::vector<std::string> columns,
-               const std::string &desc)
-{
-    if (const char *kind = kindOf(name); kind && kind[0] != 't')
-        wisc_fatal("statistic '", name, "' is a ", kind,
-                   "; cannot re-register it as a table");
-    auto it = tables_.find(name);
-    if (it == tables_.end()) {
-        it = tables_.emplace(name,
-                             TableEntry{desc, StatTable(std::move(columns))})
-                 .first;
-    }
-    return it->second.table;
-}
-
-std::uint64_t
-StatSet::get(const std::string &name) const
-{
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second.counter.value();
-}
-
-bool
-StatSet::has(const std::string &name) const
-{
-    return counters_.count(name) != 0;
-}
-
 const char *
-StatSet::kindOf(const std::string &name) const
+StatRecord::kindOf(const std::string &name) const
 {
-    if (counters_.count(name))
+    if (stats.count(name))
         return "counter";
-    if (histograms_.count(name))
+    if (hists.count(name))
         return "histogram";
-    if (tables_.count(name))
+    if (tables.count(name))
         return "table";
     return nullptr;
 }
 
 namespace {
 
-[[noreturn]] void
-badLookup(const char *wanted, const std::string &name, const char *actual)
+/** The `wanted` statistic `name` in `m`; a hard error naming what the
+ *  record holds under that name instead, if anything. */
+template <typename T>
+const T &
+lookup(const StatRecord &r, const std::map<std::string, T> &m,
+       const char *wanted, const std::string &name)
 {
-    if (actual)
+    auto it = m.find(name);
+    if (it != m.end())
+        return it->second;
+    if (const char *actual = r.kindOf(name))
         wisc_fatal("statistic '", name, "' is a ", actual, ", not a ",
                    wanted, "; read it with require<",
                    actual[0] == 'c'
@@ -94,66 +44,106 @@ badLookup(const char *wanted, const std::string &name, const char *actual)
 } // namespace
 
 template <> const Counter &
-StatSet::require<Counter>(const std::string &name) const
+StatRecord::require<Counter>(const std::string &name) const
 {
-    auto it = counters_.find(name);
-    if (it == counters_.end())
-        badLookup("counter", name, kindOf(name));
-    return it->second.counter;
+    return lookup(*this, stats, "counter", name);
 }
 
 template <> const Histogram &
-StatSet::require<Histogram>(const std::string &name) const
+StatRecord::require<Histogram>(const std::string &name) const
 {
-    auto it = histograms_.find(name);
-    if (it == histograms_.end())
-        badLookup("histogram", name, kindOf(name));
-    return it->second.hist;
+    return lookup(*this, hists, "histogram", name);
 }
 
 template <> const StatTable &
-StatSet::require<StatTable>(const std::string &name) const
+StatRecord::require<StatTable>(const std::string &name) const
 {
-    auto it = tables_.find(name);
-    if (it == tables_.end())
-        badLookup("table", name, kindOf(name));
-    return it->second.table;
+    return lookup(*this, tables, "table", name);
+}
+
+std::uint64_t
+StatRecord::require(const std::string &name) const
+{
+    return require<Counter>(name);
+}
+
+void
+StatSet::claim(const std::string &name, const char *kind,
+               const std::string &desc)
+{
+    if (const char *had = record_.kindOf(name);
+        had && std::string_view(had) != kind)
+        wisc_fatal("statistic '", name, "' is a ", had,
+                   "; cannot re-register it as a ", kind);
+    if (!desc.empty())
+        desc_.try_emplace(name, desc);
+}
+
+Counter &
+StatSet::counter(const std::string &name, const std::string &desc)
+{
+    claim(name, "counter", desc);
+    return record_.stats[name];
+}
+
+Histogram &
+StatSet::histogram(const std::string &name, std::size_t buckets,
+                   const std::string &desc)
+{
+    if (buckets == 0)
+        wisc_fatal("histogram '", name, "' registered with zero buckets");
+    claim(name, "histogram", desc);
+    auto it = record_.hists.find(name);
+    if (it == record_.hists.end())
+        it = record_.hists.emplace(name, Histogram(buckets)).first;
+    return it->second;
+}
+
+StatTable &
+StatSet::table(const std::string &name, std::vector<std::string> columns,
+               const std::string &desc)
+{
+    claim(name, "table", desc);
+    auto it = record_.tables.find(name);
+    if (it == record_.tables.end())
+        it = record_.tables.emplace(name, StatTable(std::move(columns)))
+                 .first;
+    return it->second;
 }
 
 void
 StatSet::dump(std::ostream &os) const
 {
-    for (const auto &kv : counters_) {
-        os << std::left << std::setw(44) << kv.first << " "
-           << std::right << std::setw(14) << kv.second.counter.value();
-        if (!kv.second.desc.empty())
-            os << "  # " << kv.second.desc;
+    auto describe = [&](const std::string &name) {
+        auto it = desc_.find(name);
+        if (it != desc_.end())
+            os << "  # " << it->second;
+    };
+    for (const auto &[name, value] : record_.stats) {
+        os << std::left << std::setw(44) << name << " " << std::right
+           << std::setw(14) << value;
+        describe(name);
         os << "\n";
     }
-    for (const auto &kv : histograms_) {
-        const Histogram &h = kv.second.hist;
-        os << std::left << std::setw(44) << kv.first
+    for (const auto &[name, h] : record_.hists) {
+        os << std::left << std::setw(44) << name
            << " (histogram, n=" << h.count() << ")";
-        if (!kv.second.desc.empty())
-            os << "  # " << kv.second.desc;
+        describe(name);
         os << "\n";
-        for (std::size_t i = 0; i < h.numBuckets(); ++i) {
-            if (!h.bucket(i))
+        const std::vector<std::uint64_t> &b = h.buckets();
+        for (std::size_t i = 0; i < b.size(); ++i) {
+            if (!b[i])
                 continue;
             os << "  " << std::left << std::setw(42)
-               << ((i + 1 == h.numBuckets())
-                       ? ">=" + std::to_string(i)
-                       : std::to_string(i))
-               << " " << std::right << std::setw(14) << h.bucket(i)
-               << "\n";
+               << ((i + 1 == b.size()) ? ">=" + std::to_string(i)
+                                       : std::to_string(i))
+               << " " << std::right << std::setw(14) << b[i] << "\n";
         }
     }
-    for (const auto &kv : tables_) {
-        const StatTable &t = kv.second.table;
-        os << std::left << std::setw(44) << kv.first
+    for (const auto &[name, t] : record_.tables) {
+        os << std::left << std::setw(44) << name
            << " (table, rows=" << t.numRows() << ")";
-        if (!kv.second.desc.empty())
-            os << "  # " << kv.second.desc;
+        describe(name);
         os << "\n  " << std::left << std::setw(16) << "key";
         for (const auto &c : t.columns())
             os << " " << std::right << std::setw(12) << c;
@@ -171,28 +161,8 @@ std::vector<std::string>
 StatSet::counterNames() const
 {
     std::vector<std::string> names;
-    names.reserve(counters_.size());
-    for (const auto &kv : counters_)
-        names.push_back(kv.first);
-    return names;
-}
-
-std::vector<std::string>
-StatSet::histogramNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(histograms_.size());
-    for (const auto &kv : histograms_)
-        names.push_back(kv.first);
-    return names;
-}
-
-std::vector<std::string>
-StatSet::tableNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(tables_.size());
-    for (const auto &kv : tables_)
+    names.reserve(record_.stats.size());
+    for (const auto &kv : record_.stats)
         names.push_back(kv.first);
     return names;
 }

@@ -2,12 +2,15 @@
  * @file
  * Minimal statistics package in the spirit of gem5's Stats.
  *
- * Components register named counters/histograms/tables in a StatSet. The
- * harness reads them by name after a simulation run and the StatSet can
- * dump itself in a human-readable form. Counters are plain uint64 values;
- * formulas (ratios such as IPC) are computed by the reader.
+ * Each kind of statistic has one value type: a counter is the
+ * std::uint64_t it counts, a Histogram its buckets, a StatTable its
+ * rows. A StatRecord holds every statistic of one run by name, one map
+ * per kind. Components register theirs in a StatSet, which fills its
+ * record while the core runs and can dump it in a human-readable form;
+ * a run's RunOutcome (harness/runner.hh) keeps a copy of the record.
+ * Formulas (ratios such as IPC) are computed by the reader.
  *
- * Readers have two lookup flavors: get() tolerates unknown names (for
+ * Readers have two lookup flavors: stat() tolerates unknown names (for
  * statistics that are only registered when the event occurs, such as the
  * per-class wish-branch counters), while require<T>() treats an unknown
  * name — or a name registered as a different kind of statistic — as a
@@ -24,24 +27,13 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.hh"
 #include "common/log.hh"
 
 namespace wisc {
 
-/** A named event counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    Counter &operator++() { ++value_; return *this; }
-    Counter &operator+=(std::uint64_t n) { value_ += n; return *this; }
-
-    std::uint64_t value() const { return value_; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
+/** A named event counter: the count itself. */
+using Counter = std::uint64_t;
 
 /**
  * A bounded histogram with an overflow bucket.
@@ -80,11 +72,19 @@ class Histogram
     }
 
     std::uint64_t count() const { return count_; }
-    std::uint64_t bucket(std::size_t i) const
+    /** Bucket i counts value i; the last bucket is the overflow. */
+    const std::vector<std::uint64_t> &buckets() const { return buckets_; }
+
+    /** Walk the value (run-cache entries): the count, then the
+     *  buckets. */
+    void
+    io(StateIO &io)
     {
-        return i < buckets_.size() ? buckets_[i] : 0;
+        io(count_);
+        io.seq(buckets_, [&](std::uint64_t &b) { io(b); });
     }
-    std::size_t numBuckets() const { return buckets_.size(); }
+
+    bool operator==(const Histogram &) const = default;
 
   private:
     std::vector<std::uint64_t> buckets_;
@@ -130,17 +130,86 @@ class StatTable
     rows() const { return rows_; }
     std::size_t numRows() const { return rows_.size(); }
 
+    /** Walk the value (run-cache entries): the column names, then each
+     *  row as its key and one u64 per column, with no count of its
+     *  own. */
+    void
+    io(StateIO &io)
+    {
+        io.seq(columns_, [&](std::string &c) { io.str(c); });
+        io.map(rows_, [&](std::uint64_t &key,
+                          std::vector<std::uint64_t> &row) {
+            io(key);
+            if (io.loading())
+                row.resize(columns_.size());
+            for (std::uint64_t &v : row)
+                io(v);
+        });
+    }
+
+    bool operator==(const StatTable &) const = default;
+
   private:
     std::vector<std::string> columns_;
     std::map<std::uint64_t, std::vector<std::uint64_t>> rows_;
 };
 
 /**
- * Registry of named statistics. Names are hierarchical by convention
- * ("core.fetch.uops"). Registration returns a stable reference; the StatSet
- * must outlive all users. A name identifies exactly one statistic of
- * exactly one kind — registering or reading it as another kind is a hard
- * error, not a shadowed second entry.
+ * Every statistic of one run, by name, one map per kind. Names are
+ * hierarchical by convention ("core.fetch.uops"), and a name identifies
+ * exactly one statistic of exactly one kind.
+ */
+struct StatRecord
+{
+    std::map<std::string, Counter> stats; ///< the counters
+    std::map<std::string, Histogram> hists;
+    std::map<std::string, StatTable> tables;
+
+    /**
+     * Counter value, tolerant of absent names. Use only for statistics
+     * that are legitimately registration-on-first-event (the per-class
+     * wish.* counters); for always-present statistics use require(), so
+     * a misspelled name cannot silently read as zero.
+     */
+    std::uint64_t
+    stat(const std::string &name) const
+    {
+        auto it = stats.find(name);
+        return it == stats.end() ? 0 : it->second;
+    }
+
+    /**
+     * Typed lookup: require<Counter>("core.cycles"),
+     * require<Histogram>("core.fetch_width"),
+     * require<StatTable>("core.branch_profile"). Hard error
+     * (FatalError) if the name was never registered, or was registered
+     * as a different kind — the error names the actual kind so a reader
+     * that asks for the wrong one is told what it found, not just
+     * "unknown".
+     */
+    template <typename T>
+    const T &require(const std::string &name) const;
+
+    /** A counter's value: require<Counter>(name). */
+    std::uint64_t require(const std::string &name) const;
+
+    /** "counter", "histogram" or "table": the kind `name` is registered
+     *  as; nullptr if the name is unknown. */
+    const char *kindOf(const std::string &name) const;
+};
+
+template <> const Counter &
+StatRecord::require<Counter>(const std::string &name) const;
+template <> const Histogram &
+StatRecord::require<Histogram>(const std::string &name) const;
+template <> const StatTable &
+StatRecord::require<StatTable>(const std::string &name) const;
+
+/**
+ * Registry of named statistics. Registration returns a stable reference
+ * into the record; the StatSet must outlive all users. Registering a
+ * name as another kind than it already has is a hard error, not a
+ * shadowed second entry.
  */
 class StatSet
 {
@@ -161,22 +230,15 @@ class StatSet
                      std::vector<std::string> columns,
                      const std::string &desc = "");
 
+    /** Every statistic registered so far, with its current value. */
+    const StatRecord &record() const { return record_; }
+
     /** Value of a counter by name; 0 if never registered. */
-    std::uint64_t get(const std::string &name) const;
-
-    /** True iff a counter with this name exists. */
-    bool has(const std::string &name) const;
-
-    /**
-     * Typed lookup: require<Counter>("core.cycles"),
-     * require<Histogram>("core.fetch_width"),
-     * require<StatTable>("core.branch_profile"). Hard error if the name
-     * was never registered, or was registered as a different kind —
-     * the error names the actual kind so a reader that asks for the
-     * wrong one is told what it found, not just "unknown".
-     */
-    template <typename T>
-    const T &require(const std::string &name) const;
+    std::uint64_t
+    get(const std::string &name) const
+    {
+        return record_.stat(name);
+    }
 
     /** Dump all statistics, sorted by name. */
     void dump(std::ostream &os) const;
@@ -184,46 +246,15 @@ class StatSet
     /** All counter names (sorted), e.g. for introspection in tests. */
     std::vector<std::string> counterNames() const;
 
-    /** All histogram names (sorted). */
-    std::vector<std::string> histogramNames() const;
-
-    /** All table names (sorted). */
-    std::vector<std::string> tableNames() const;
-
   private:
-    struct Entry
-    {
-        std::string desc;
-        Counter counter;
-    };
+    /** Hard error unless `name` is unknown or already a `kind`; keep
+     *  the first non-empty description. */
+    void claim(const std::string &name, const char *kind,
+               const std::string &desc);
 
-    struct HistEntry
-    {
-        std::string desc;
-        Histogram hist;
-    };
-
-    struct TableEntry
-    {
-        std::string desc;
-        StatTable table;
-    };
-
-    /** The kind a name is registered under, for mismatch diagnostics;
-     *  nullptr if the name is unknown. */
-    const char *kindOf(const std::string &name) const;
-
-    std::map<std::string, Entry> counters_;
-    std::map<std::string, HistEntry> histograms_;
-    std::map<std::string, TableEntry> tables_;
+    StatRecord record_;
+    std::map<std::string, std::string> desc_; ///< read only by dump()
 };
-
-template <> const Counter &
-StatSet::require<Counter>(const std::string &name) const;
-template <> const Histogram &
-StatSet::require<Histogram>(const std::string &name) const;
-template <> const StatTable &
-StatSet::require<StatTable>(const std::string &name) const;
 
 } // namespace wisc
 

@@ -25,9 +25,9 @@ toJson(const RunOutcome &r)
     json::Value hists = json::Value::object();
     for (const auto &kv : r.hists) {
         json::Value h = json::Value::object();
-        h["count"] = kv.second.count;
+        h["count"] = kv.second.count();
         json::Value buckets = json::Value::array();
-        for (std::uint64_t b : kv.second.buckets)
+        for (std::uint64_t b : kv.second.buckets())
             buckets.push(b);
         h["buckets"] = std::move(buckets);
         hists[kv.first] = std::move(h);
@@ -41,11 +41,11 @@ toJson(const RunOutcome &r)
         for (const auto &kv : r.tables) {
             json::Value t = json::Value::object();
             json::Value cols = json::Value::array();
-            for (const std::string &c : kv.second.columns)
+            for (const std::string &c : kv.second.columns())
                 cols.push(c);
             t["columns"] = std::move(cols);
             json::Value rows = json::Value::array();
-            for (const auto &row : kv.second.rows) {
+            for (const auto &row : kv.second.rows()) {
                 json::Value jr = json::Value::object();
                 jr["key"] = row.first;
                 json::Value vals = json::Value::array();

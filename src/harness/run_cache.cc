@@ -44,8 +44,8 @@ io(StateIO &io, Frame &f)
 }
 
 /** The payload: the SimResult (halted as a u32), then every counter,
- *  histogram and table by name. A table row is its key and one u64 per
- *  column, with no count of its own. */
+ *  histogram and table by name, each histogram and table as its own
+ *  walk writes it. */
 void
 io(StateIO &io, RunOutcome &out)
 {
@@ -59,22 +59,13 @@ io(StateIO &io, RunOutcome &out)
         io.str(name);
         io(value);
     });
-    io.map(out.hists, [&](std::string &name, HistogramSnapshot &h) {
+    io.map(out.hists, [&](std::string &name, Histogram &h) {
         io.str(name);
-        io(h.count);
-        io.seq(h.buckets, [&](std::uint64_t &b) { io(b); });
+        h.io(io);
     });
-    io.map(out.tables, [&](std::string &name, TableSnapshot &t) {
+    io.map(out.tables, [&](std::string &name, StatTable &t) {
         io.str(name);
-        io.seq(t.columns, [&](std::string &c) { io.str(c); });
-        io.map(t.rows, [&](std::uint64_t &key,
-                           std::vector<std::uint64_t> &row) {
-            io(key);
-            if (io.loading())
-                row.resize(t.columns.size());
-            for (std::uint64_t &v : row)
-                io(v);
-        });
+        t.io(io);
     });
 }
 

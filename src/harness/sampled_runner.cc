@@ -93,6 +93,7 @@ runSampled(const Program &prog, const SimParams &params)
     // window.
     StatSet ws;
     Core core(wp, ws);
+    const auto &counters = ws.record().stats;
     std::map<std::string, std::uint64_t> snapStart, snapMeas;
 
     // Stratum A: the detailed prefix, simulated cycle-accurately from
@@ -113,8 +114,7 @@ runSampled(const Program &prog, const SimParams &params)
         prefixHalted = core.halted();
         core.finishRun(); // publishes attribution into ws
         prefixQt = prefixRetired - ws.get(kPredFalse);
-        for (const std::string &name : ws.counterNames())
-            prefixDelta[name] = ws.get(name);
+        prefixDelta = counters;
     }
 
     // Stratum B: periodic detailed windows over the remainder, the
@@ -128,9 +128,7 @@ runSampled(const Program &prog, const SimParams &params)
         CoreCheckpoint ckpt;
         ff.checkpoint(ckpt);
 
-        snapStart.clear();
-        for (const std::string &name : ws.counterNames())
-            snapStart[name] = ws.get(name);
+        snapStart = counters;
         core.beginRun(prog, ckpt);
 
         const std::uint64_t base = ckpt.retiredUops;
@@ -142,9 +140,7 @@ runSampled(const Program &prog, const SimParams &params)
         const bool warmHalted = core.halted();
         const Cycle c0 = core.cycles();
         const std::uint64_t u0 = core.retired();
-        snapMeas.clear();
-        for (const std::string &name : ws.counterNames())
-            snapMeas[name] = ws.get(name);
+        snapMeas = counters;
 
         if (!warmHalted)
             core.advance(u0 + sp.measureUops, /*drain=*/false);
@@ -166,8 +162,7 @@ runSampled(const Program &prog, const SimParams &params)
             windowCycles += core.cycles() - ckpt.now;
             windowQt += core.retired() - base -
                         (ws.get(kPredFalse) - snapStart[kPredFalse]);
-            for (const std::string &name : ws.counterNames()) {
-                const std::uint64_t v = ws.get(name);
+            for (const auto &[name, v] : counters) {
                 if (isAttrib(name)) {
                     // Attribution publishes only at finishRun, so its
                     // per-window exposure is the whole window.

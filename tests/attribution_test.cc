@@ -127,13 +127,13 @@ TEST(AttributionInvariant, BranchProfileMatchesAggregateCounters)
         attributedRun(w, BinaryVariant::WishJumpJoinLoop, SimParams{});
 
     ASSERT_TRUE(r.tables.count("core.branch_profile"));
-    const TableSnapshot &t = r.tables.at("core.branch_profile");
-    ASSERT_EQ(t.columns.size(),
+    const StatTable &t = r.tables.at("core.branch_profile");
+    ASSERT_EQ(t.columns().size(),
               static_cast<std::size_t>(kBpNumCols));
-    EXPECT_FALSE(t.rows.empty());
+    EXPECT_FALSE(t.rows().empty());
 
     std::uint64_t count = 0, mispred = 0, classified = 0;
-    for (const auto &row : t.rows) {
+    for (const auto &row : t.rows()) {
         count += row.second[kBpCount];
         mispred += row.second[kBpMispred];
         classified += row.second[kBpHiCorrect] + row.second[kBpHiWrong] +
@@ -166,12 +166,7 @@ TEST(ProbeApi, NullSinkLeavesTheRunBitIdentical)
     EXPECT_EQ(plain.result.memFingerprint,
               observed.result.memFingerprint);
     EXPECT_EQ(plain.stats, observed.stats);
-    ASSERT_EQ(plain.hists.size(), observed.hists.size());
-    for (const auto &kv : plain.hists) {
-        const HistogramSnapshot &o = observed.hists.at(kv.first);
-        EXPECT_EQ(kv.second.count, o.count) << kv.first;
-        EXPECT_EQ(kv.second.buckets, o.buckets) << kv.first;
-    }
+    EXPECT_EQ(plain.hists, observed.hists);
 }
 
 /** Turning attribution on adds the attrib.* counters and the profile

@@ -51,15 +51,6 @@
 namespace wisc {
 namespace {
 
-std::map<std::string, std::uint64_t>
-counters(const StatSet &s)
-{
-    std::map<std::string, std::uint64_t> m;
-    for (const std::string &name : s.counterNames())
-        m[name] = s.get(name);
-    return m;
-}
-
 void
 expectSimResultsEqual(const SimResult &a, const SimResult &b,
                       const std::string &what)
@@ -103,7 +94,7 @@ TEST(SplitRun, AdvanceLegsAreBitIdenticalAcrossParamsMatrix)
             const std::string what =
                 pt.label + " seed " + std::to_string(seed);
             expectSimResultsEqual(ra, rb, what);
-            EXPECT_EQ(counters(sa), counters(sb)) << what;
+            EXPECT_EQ(sa.record().stats, sb.record().stats) << what;
         }
     }
 }
@@ -164,7 +155,7 @@ TEST(SplitRun, CoreCheckpointRoundTripIsBitIdentical)
             // the uninterrupted run paid that warming once, so leg 2's
             // share is the delta past the restore point.
             const std::map<std::string, std::uint64_t> warm =
-                counters(sb2);
+                sb2.record().stats;
             cb2.advance(UINT64_MAX);
             SimResult rb = cb2.finishRun();
 
@@ -176,12 +167,12 @@ TEST(SplitRun, CoreCheckpointRoundTripIsBitIdentical)
             // boundary: leg 1 plus leg 2 (minus leg 2's duplicated
             // text-image warming) must reproduce the uninterrupted
             // totals exactly.
-            std::map<std::string, std::uint64_t> sum = counters(sb1);
-            for (const auto &kv : counters(sb2))
+            std::map<std::string, std::uint64_t> sum = sb1.record().stats;
+            for (const auto &kv : sb2.record().stats)
                 sum[kv.first] += kv.second;
             for (const auto &kv : warm)
                 sum[kv.first] -= kv.second;
-            EXPECT_EQ(sum, counters(sa)) << what;
+            EXPECT_EQ(sum, sa.record().stats) << what;
         }
     }
 }

@@ -45,10 +45,10 @@ main()
         std::printf("  },\n  {\n");
         for (const auto &[name, h] : o.hists) {
             std::printf("    { \"%s\", %lluull, {", name.c_str(),
-                        (unsigned long long)h.count);
-            for (std::size_t i = 0; i < h.buckets.size(); ++i)
+                        (unsigned long long)h.count());
+            for (std::size_t i = 0; i < h.buckets().size(); ++i)
                 std::printf("%s%lluull", i ? ", " : " ",
-                            (unsigned long long)h.buckets[i]);
+                            (unsigned long long)h.buckets()[i]);
             std::printf(" } },\n");
         }
         std::printf("  },\n},\n");

@@ -101,10 +101,10 @@ TEST_P(GoldenStats, FullStatSetBitIdentical)
     i = 0;
     for (const auto &[name, h] : o.hists) {
         EXPECT_EQ(name, g.hists[i].name);
-        EXPECT_EQ(h.count, g.hists[i].count) << name;
-        ASSERT_EQ(h.buckets.size(), g.hists[i].buckets.size()) << name;
-        for (std::size_t b = 0; b < h.buckets.size(); ++b)
-            EXPECT_EQ(h.buckets[b], g.hists[i].buckets[b])
+        EXPECT_EQ(h.count(), g.hists[i].count) << name;
+        ASSERT_EQ(h.buckets().size(), g.hists[i].buckets.size()) << name;
+        for (std::size_t b = 0; b < h.buckets().size(); ++b)
+            EXPECT_EQ(h.buckets()[b], g.hists[i].buckets[b])
                 << name << " bucket " << b;
         ++i;
     }

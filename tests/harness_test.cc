@@ -27,7 +27,7 @@ TEST(RunnerTest, CapturesStatsSnapshot)
     EXPECT_GT(r.mispredictsPer1K(), 0.0);
 }
 
-TEST(RunnerTest, CapturesHistogramSnapshot)
+TEST(RunnerTest, CapturesHistograms)
 {
     CompiledWorkload w = compileWorkload("crafty");
     RunOutcome r = run(programFor(w, BinaryVariant::Normal, InputSet::A));
@@ -36,17 +36,17 @@ TEST(RunnerTest, CapturesHistogramSnapshot)
     ASSERT_TRUE(r.hists.count("core.fetch_width"));
     ASSERT_TRUE(r.hists.count("core.flush_squash"));
 
-    const HistogramSnapshot &h = r.hists.at("core.fetch_width");
-    EXPECT_GT(h.count, 0u);
+    const Histogram &h = r.hists.at("core.fetch_width");
+    EXPECT_GT(h.count(), 0u);
     std::uint64_t sum = 0;
-    for (std::uint64_t b : h.buckets)
+    for (std::uint64_t b : h.buckets())
         sum += b;
-    EXPECT_EQ(sum, h.count);
+    EXPECT_EQ(sum, h.count());
     // One sample per fetching cycle, so bounded by total cycles.
-    EXPECT_LE(h.count, r.result.cycles);
+    EXPECT_LE(h.count(), r.result.cycles);
 
-    const HistogramSnapshot &f = r.hists.at("core.flush_squash");
-    EXPECT_EQ(f.count, r.require("core.flushes"));
+    const Histogram &f = r.hists.at("core.flush_squash");
+    EXPECT_EQ(f.count(), r.require("core.flushes"));
 }
 
 TEST(RunnerTest, RequirePanicsOnUnknownStat)

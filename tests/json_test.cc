@@ -116,7 +116,9 @@ makeOutcome(std::uint64_t cycles)
     r.result.resultReg = 99;
     r.stats["core.cycles"] = cycles;
     r.stats["core.branch_mispredicts"] = 17;
-    r.hists["core.fetch_width"] = HistogramSnapshot{{5, 0, 3, 1}, 9};
+    Histogram &h = r.hists["core.fetch_width"] = Histogram(3);
+    for (std::size_t v : {0, 0, 0, 0, 0, 2, 2, 2, 3})
+        h.sample(v); // buckets 5, 0, 3 and one overflow
     return r;
 }
 
@@ -148,11 +150,10 @@ TEST(JsonWriterTest, RunOutcomeSchemaRoundTrips)
 TEST(JsonWriterTest, RunOutcomeTablesSectionRoundTrips)
 {
     RunOutcome r = makeOutcome(10);
-    TableSnapshot t;
-    t.columns = {"count", "mispred"};
-    t.rows[0x40] = {7, 2};
-    t.rows[0x80] = {3, 0};
-    r.tables["core.branch_profile"] = t;
+    StatTable &t = r.tables["core.branch_profile"] =
+        StatTable({"count", "mispred"});
+    t.row(0x40) = {7, 2};
+    t.row(0x80) = {3, 0};
 
     json::Value back = json::parse(toJson(r).dump());
     const json::Value &bp = back.at("tables").at("core.branch_profile");

@@ -82,20 +82,8 @@ expectOutcomesIdentical(const RunOutcome &a, const RunOutcome &b)
     EXPECT_EQ(a.result.resultReg, b.result.resultReg);
     EXPECT_EQ(a.result.memFingerprint, b.result.memFingerprint);
     EXPECT_EQ(a.stats, b.stats);
-    ASSERT_EQ(a.hists.size(), b.hists.size());
-    for (const auto &kv : a.hists) {
-        auto it = b.hists.find(kv.first);
-        ASSERT_NE(it, b.hists.end()) << kv.first;
-        EXPECT_EQ(kv.second.count, it->second.count) << kv.first;
-        EXPECT_EQ(kv.second.buckets, it->second.buckets) << kv.first;
-    }
-    ASSERT_EQ(a.tables.size(), b.tables.size());
-    for (const auto &kv : a.tables) {
-        auto it = b.tables.find(kv.first);
-        ASSERT_NE(it, b.tables.end()) << kv.first;
-        EXPECT_EQ(kv.second.columns, it->second.columns) << kv.first;
-        EXPECT_EQ(kv.second.rows, it->second.rows) << kv.first;
-    }
+    EXPECT_EQ(a.hists, b.hists);
+    EXPECT_EQ(a.tables, b.tables);
 }
 
 // ---- fingerprints -----------------------------------------------------
@@ -432,12 +420,13 @@ TEST(RunCacheDiskTest, EntryBytesArePinned)
                   .memFingerprint = 0x0123456789abcdefull};
     out.stats["core.cycles"] = 1000;
     out.stats["core.flushes"] = 7;
-    out.hists["core.fetch_width"] = HistogramSnapshot{{2, 0, 1}, 3};
-    TableSnapshot t;
-    t.columns = {"count", "mispred"};
-    t.rows[0x40] = {9, 4};
-    t.rows[0x80] = {5, 0};
-    out.tables["core.branch_profile"] = t;
+    Histogram &h = out.hists["core.fetch_width"] = Histogram(2);
+    for (std::size_t v : {0, 0, 5})
+        h.sample(v); // buckets 2, 0 and one overflow
+    StatTable &t = out.tables["core.branch_profile"] =
+        StatTable({"count", "mispred"});
+    t.row(0x40) = {9, 4};
+    t.row(0x80) = {5, 0};
 
     const RunKey key{0x1122334455667788ull, 0x99aabbccddeeff00ull};
     const std::string bytes = encodeRunOutcome(key, out);
@@ -476,7 +465,7 @@ TEST(RunCacheDiskTest, AttributionTablesRoundTripAndReplayFromDisk)
     RunOutcome fresh = writer.run(prog, p);
     ASSERT_TRUE(fresh.stats.count("attrib.base"));
     ASSERT_TRUE(fresh.tables.count("core.branch_profile"));
-    EXPECT_FALSE(fresh.tables.at("core.branch_profile").rows.empty());
+    EXPECT_FALSE(fresh.tables.at("core.branch_profile").rows().empty());
 
     const RunKey key{prog.fingerprint(), p.fingerprint()};
     std::string bytes = encodeRunOutcome(key, fresh);

@@ -21,8 +21,8 @@ TEST(StatsTest, CounterBasics)
     ++c;
     c += 5;
     EXPECT_EQ(s.get("a.b"), 6u);
-    EXPECT_TRUE(s.has("a.b"));
-    EXPECT_FALSE(s.has("nope"));
+    EXPECT_TRUE(s.record().stats.count("a.b"));
+    EXPECT_FALSE(s.record().stats.count("nope"));
     EXPECT_EQ(s.get("nope"), 0u);
 }
 
@@ -33,16 +33,16 @@ TEST(StatsTest, CounterIsStableAcrossRegistrations)
     ++c1;
     Counter &c2 = s.counter("x");
     EXPECT_EQ(&c1, &c2);
-    EXPECT_EQ(c2.value(), 1u);
+    EXPECT_EQ(c2, 1u);
 }
 
 TEST(StatsTest, RequireIsCheckedLookup)
 {
     StatSet s;
     s.counter("core.cycles") += 42;
-    EXPECT_EQ(s.require<Counter>("core.cycles").value(), 42u);
+    EXPECT_EQ(s.record().require<Counter>("core.cycles"), 42u);
     // A misspelled name is a hard error, never a plausible zero.
-    EXPECT_THROW(s.require<Counter>("core.cycels"), FatalError);
+    EXPECT_THROW(s.record().require<Counter>("core.cycels"), FatalError);
 }
 
 TEST(StatsTest, RequireNamesTheActualKindOnMismatch)
@@ -53,12 +53,13 @@ TEST(StatsTest, RequireNamesTheActualKindOnMismatch)
     s.table("t", {"a", "b"});
     // Reading a statistic with the wrong kind is a typed error that
     // names what the statistic actually is.
-    EXPECT_THROW(s.require<Histogram>("c"), FatalError);
-    EXPECT_THROW(s.require<Counter>("h"), FatalError);
-    EXPECT_THROW(s.require<Counter>("t"), FatalError);
-    EXPECT_THROW(s.require<StatTable>("h"), FatalError);
+    const StatRecord &r = s.record();
+    EXPECT_THROW(r.require<Histogram>("c"), FatalError);
+    EXPECT_THROW(r.require<Counter>("h"), FatalError);
+    EXPECT_THROW(r.require<Counter>("t"), FatalError);
+    EXPECT_THROW(r.require<StatTable>("h"), FatalError);
     try {
-        s.require<Counter>("h");
+        r.require<Counter>("h");
         FAIL() << "expected FatalError";
     } catch (const FatalError &e) {
         const std::string msg = e.what();
@@ -92,11 +93,11 @@ TEST(StatsTest, RequireHistogramIsCheckedLookup)
 {
     StatSet s;
     s.histogram("h", 4).sample(2);
-    EXPECT_EQ(s.require<Histogram>("h").count(), 1u);
-    EXPECT_THROW(s.require<Histogram>("nope"), FatalError);
-    auto names = s.histogramNames();
-    ASSERT_EQ(names.size(), 1u);
-    EXPECT_EQ(names[0], "h");
+    EXPECT_EQ(s.record().require<Histogram>("h").count(), 1u);
+    EXPECT_THROW(s.record().require<Histogram>("nope"), FatalError);
+    const auto &hists = s.record().hists;
+    ASSERT_EQ(hists.size(), 1u);
+    EXPECT_EQ(hists.begin()->first, "h");
 }
 
 TEST(StatsTest, TableBasics)
@@ -116,10 +117,10 @@ TEST(StatsTest, TableBasics)
 
     // Registration is idempotent and stable, like counters.
     EXPECT_EQ(&s.table("bp", {"count", "mispred"}), &t);
-    EXPECT_EQ(s.require<StatTable>("bp").numRows(), 2u);
-    auto names = s.tableNames();
-    ASSERT_EQ(names.size(), 1u);
-    EXPECT_EQ(names[0], "bp");
+    EXPECT_EQ(s.record().require<StatTable>("bp").numRows(), 2u);
+    const auto &tables = s.record().tables;
+    ASSERT_EQ(tables.size(), 1u);
+    EXPECT_EQ(tables.begin()->first, "bp");
 }
 
 TEST(StatsTest, ZeroColumnTableIsRejected)
@@ -137,9 +138,9 @@ TEST(StatsTest, HistogramBucketsAndOverflow)
     h.sample(3);
     h.sample(99); // overflow bucket
     EXPECT_EQ(h.count(), 4u);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(3), 2u);
-    EXPECT_EQ(h.bucket(4), 1u);
+    EXPECT_EQ(h.buckets()[0], 1u);
+    EXPECT_EQ(h.buckets()[3], 2u);
+    EXPECT_EQ(h.buckets()[4], 1u);
 }
 
 TEST(StatsTest, DumpContainsNamesAndValues)
