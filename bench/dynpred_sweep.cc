@@ -143,8 +143,6 @@ dynpred_sweep(BenchCli &cli)
     };
     json::Value jcells = json::Value::array();
     for (const Cell &c : cells) {
-        cli.noteSimulated(c.out.result.retiredUops,
-                          c.out.result.cycles);
         std::uint64_t sum = 0;
         for (const char *name : kAttribNames) {
             auto it = c.out.stats.find(name);

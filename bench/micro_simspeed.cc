@@ -99,7 +99,6 @@ main(int argc, char **argv)
 
     Table t({"window", "binary", "uops", "cycles", "wall_s", "Muops/s"});
     std::uint64_t totalUops = 0;
-    std::uint64_t totalCycles = 0;
     double totalSimSeconds = 0.0;
     double defaultWindowUops = 0.0;
     double defaultWindowSeconds = 0.0;
@@ -128,9 +127,7 @@ main(int argc, char **argv)
             t.addRow({std::to_string(rob), vs.label, std::to_string(uops),
                       std::to_string(cycles), Table::num(wall),
                       Table::num(uops / wall / 1e6)});
-            cli.noteSimulated(uops, cycles);
             totalUops += uops;
-            totalCycles += cycles;
             totalSimSeconds += wall;
             if (rob == 512) {
                 defaultWindowUops += static_cast<double>(uops);

@@ -133,8 +133,6 @@ predictor_sweep(BenchCli &cli)
     };
     json::Value jcells = json::Value::array();
     for (const Cell &c : cells) {
-        cli.noteSimulated(c.out.result.retiredUops,
-                          c.out.result.cycles);
         cycles[key(c.fe, c.variant, c.bench)] = c.out.result.cycles;
 
         json::Value jc = json::Value::object();

@@ -267,7 +267,6 @@ main(int argc, char **argv)
         if (rc != 0 && firstFailure == 0)
             firstFailure = rc;
 
-        cli.noteSimulated(sub.simulatedUops(), sub.simulatedCycles());
         wallByExperiment[e->name] = sub.elapsedSeconds();
         experiments.push(sub.document());
         std::cout << "\n";

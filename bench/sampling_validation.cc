@@ -158,8 +158,6 @@ sampling_validation(BenchCli &cli)
                   Table::num(cpiS), Table::num(err * 100.0),
                   std::to_string(samp.require("sampling.windows")),
                   Table::num(wf), Table::num(ws), Table::num(wf / ws)});
-        cli.noteSimulated(uops + samp.require("sampling.window_qp_true"),
-                          full.result.cycles);
 
         // Cancellation-free aggregate: |ln ratio|, so an overestimate
         // on one kernel cannot hide an underestimate on another.

@@ -26,13 +26,6 @@ BenchCli::add(const std::string &key, json::Value v)
 void
 BenchCli::addResults(const std::string &key, const NormalizedResults &r)
 {
-    // Every serialized outcome counts toward the throughput figures, so
-    // all normalized-experiment benches report uops_per_second.
-    for (const RunOutcome &b : r.baseline)
-        noteSimulated(b.result.retiredUops, b.result.cycles);
-    for (const auto &row : r.outcomes)
-        for (const RunOutcome &o : row)
-            noteSimulated(o.result.retiredUops, o.result.cycles);
     doc_[key] = toJson(r);
 }
 
@@ -54,17 +47,7 @@ void
 BenchCli::finalizeDoc()
 {
     doc_["jobs"] = ParallelRunner::defaultJobs();
-    const double wall = elapsedSeconds();
-    doc_["wall_seconds"] = wall;
-    if (simUops_ > 0) {
-        doc_["simulated_uops"] = simUops_;
-        doc_["simulated_cycles"] = simCycles_;
-        if (wall > 0) {
-            doc_["uops_per_second"] = static_cast<double>(simUops_) / wall;
-            doc_["cycles_per_second"] =
-                static_cast<double>(simCycles_) / wall;
-        }
-    }
+    doc_["wall_seconds"] = elapsedSeconds();
 
     // Cache counters as deltas over this CLI's lifetime: in a
     // many-experiment process each document reports its own traffic.

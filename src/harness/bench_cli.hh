@@ -17,10 +17,10 @@
  * deltas over this CLI's lifetime, so the numbers stay per-experiment
  * even when many experiments share one process (bench/run_matrix).
  *
- * A benchmark whose results flow through addResults() — or that calls
- * noteSimulated() itself — also gets "simulated_uops",
- * "simulated_cycles", "uops_per_second", and "cycles_per_second", the
- * simulator-throughput figures of merit.
+ * A document reports no simulator throughput: its outcomes may be
+ * replays, and its wall clock covers compilation and emulation too.
+ * micro_simspeed times each simulation itself and reports
+ * "uops_per_sim_second".
  *
  * This is what produces the repo's BENCH_*.json trajectory files.
  */
@@ -53,24 +53,10 @@ class BenchCli
     void addResults(const std::string &key, const NormalizedResults &r);
     void addTable(const std::string &key, const Table &t);
 
-    /** Account simulated work (retired µops and simulated cycles) so
-     *  finish() can report simulator throughput next to wall_seconds.
-     *  Call once per completed simulation; accumulates. addResults()
-     *  calls this for every RunOutcome it serializes. */
-    void
-    noteSimulated(std::uint64_t uops, std::uint64_t cycles)
-    {
-        simUops_ += uops;
-        simCycles_ += cycles;
-    }
-
-    std::uint64_t simulatedUops() const { return simUops_; }
-    std::uint64_t simulatedCycles() const { return simCycles_; }
-
     /** Wall seconds elapsed since construction. */
     double elapsedSeconds() const;
 
-    /** Finalize the document (timings, throughput, cache counters) and
+    /** Finalize the document (timings and cache counters) and
      *  write it to jsonPath unless that is empty. Returns the process
      *  exit code: 1 when the file cannot be written. */
     int finish(const std::string &jsonPath = {});
@@ -86,8 +72,6 @@ class BenchCli
     json::Value doc_ = json::Value::object();
     std::chrono::steady_clock::time_point start_;
     RunCacheStats cacheStart_; ///< global-service counters at start
-    std::uint64_t simUops_ = 0;
-    std::uint64_t simCycles_ = 0;
 };
 
 } // namespace wisc
