@@ -1927,13 +1927,6 @@ Core::finishRun()
 }
 
 SimResult
-simulate(const Program &prog, const SimParams &params, StatSet &stats)
-{
-    Core core(params, stats);
-    return core.run(prog);
-}
-
-SimResult
 simulate(const Program &prog, const SimParams &params, StatSet &stats,
          const std::vector<ProbeSink *> &sinks)
 {

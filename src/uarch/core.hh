@@ -540,16 +540,13 @@ class Core
     Counter *dynFetchGates_ = nullptr;
 };
 
-/** Convenience: simulate a program with the given configuration. */
-SimResult simulate(const Program &prog, const SimParams &params,
-                   StatSet &stats);
-
-/** Simulate with external probe sinks attached for the duration of the
- *  run (in addition to any sinks the params themselves imply, such as
- *  the attribution engine). */
+/** Convenience: simulate a program with the given configuration, with
+ *  external probe sinks attached for the duration of the run (in
+ *  addition to any sinks the params themselves imply, such as the
+ *  attribution engine). */
 SimResult simulate(const Program &prog, const SimParams &params,
                    StatSet &stats,
-                   const std::vector<ProbeSink *> &sinks);
+                   const std::vector<ProbeSink *> &sinks = {});
 
 } // namespace wisc
 

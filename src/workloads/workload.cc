@@ -74,14 +74,6 @@ compileWorkload(const std::string &name, const CompileOptions &opts)
 }
 
 Program
-programFor(const CompiledWorkload &w, BinaryVariant v, InputSet input)
-{
-    Program p = w.variants.at(v).program;
-    p.setData(workloadInput(w.name, input));
-    return p;
-}
-
-Program
 programFor(const CompiledWorkload &w, BinaryVariant v, InputSet input,
            std::uint64_t tripScale)
 {

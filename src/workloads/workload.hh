@@ -59,22 +59,20 @@ CompiledWorkload compileWorkload(const std::string &name,
                                  const CompileOptions &opts =
                                      CompileOptions{});
 
-/** A runnable program: the chosen variant with the chosen input data. */
-Program programFor(const CompiledWorkload &w, BinaryVariant v,
-                   InputSet input);
-
 /**
- * Same, with the kernel's outer trip count multiplied by `tripScale`
- * (>= 1): a long-running variant of the same workload, with identical
- * code and identical per-iteration branch/memory statistics. All
- * kernels index their data through power-of-two wrap masks, so scaled
- * runs stay within the input arrays. Used by sampled-simulation
- * validation, which needs runs long enough that the cold-start
- * transient is a negligible fraction of total cycles (the regime
- * sampling — and the paper's own SPEC methodology — assumes).
+ * A runnable program: the chosen variant with the chosen input data,
+ * the kernel's outer trip count multiplied by `tripScale` (>= 1). A
+ * scale above 1 gives a long-running variant of the same workload,
+ * with identical code and identical per-iteration branch/memory
+ * statistics. All kernels index their data through power-of-two wrap
+ * masks, so scaled runs stay within the input arrays. Used by
+ * sampled-simulation validation, which needs runs long enough that
+ * the cold-start transient is a negligible fraction of total cycles
+ * (the regime sampling — and the paper's own SPEC methodology —
+ * assumes).
  */
 Program programFor(const CompiledWorkload &w, BinaryVariant v,
-                   InputSet input, std::uint64_t tripScale);
+                   InputSet input, std::uint64_t tripScale = 1);
 
 } // namespace wisc
 
