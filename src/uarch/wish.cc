@@ -29,10 +29,9 @@ WishEngine::io(StateIO &io)
     for (PredIdx &p : complementOf_)
         io(p);
     io.map(loopTrips_, [&](std::uint32_t &pc, LoopTripState &t) {
-        io(pc, t.fetchIter, t.ewmaTrip4, t.recordedThisInstance);
+        io(pc, t.fetchIter, t.ewmaTrip4, t.recordedThisInstance,
+           t.instance);
     });
-    io.map(loopInstanceOf_,
-           [&](std::uint32_t &pc, std::uint32_t &n) { io(pc, n); });
 }
 
 void
@@ -99,7 +98,7 @@ WishEngine::onWishBranch(std::uint32_t pc, WishKind kind, PredIdx qp,
             }
         }
         if (!predictorTaken)
-            ++loopInstanceOf_[pc]; // front end exits this loop instance
+            ++lt.instance; // front end exits this loop instance
         if (mode_ == FrontEndMode::LowConf) {
             // Stay in low-confidence-mode until the loop is exited.
             d.effectiveTaken = predictorTaken;
@@ -178,8 +177,8 @@ WishEngine::predictedPredicate(PredIdx p) const
 std::uint32_t
 WishEngine::loopInstance(std::uint32_t pc) const
 {
-    auto it = loopInstanceOf_.find(pc);
-    return it == loopInstanceOf_.end() ? 0 : it->second;
+    auto it = loopTrips_.find(pc);
+    return it == loopTrips_.end() ? 0 : it->second.instance;
 }
 
 } // namespace wisc

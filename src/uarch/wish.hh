@@ -10,7 +10,7 @@
  *    written by the same compare is predicted too (IA-64 compares write
  *    complementary pairs; Figure 3c relies on (!p1) instructions
  *    executing early when the jump is predicted not-taken);
- *  - the per-static-wish-loop tables: the loop-instance counter the
+ *  - the per-static-wish-loop table: the loop-instance counter the
  *    misprediction recovery module (§3.5.4) uses to tell early-exit,
  *    late-exit and no-exit apart (it refines the paper's last-prediction
  *    buffer), and the trip-count state of the overestimating loop
@@ -88,8 +88,7 @@ class WishEngine
     void onFlush();
 
     /** Walk all value state (checkpointing): mode machine, predicate
-     *  buffer, complement map, and the per-static-loop trip-count and
-     *  instance tables. */
+     *  buffer, complement map, and the per-static-loop table. */
     void io(StateIO &io);
 
     // --- predicate dependency elimination buffer (§3.5.3) -------------
@@ -145,7 +144,8 @@ class WishEngine
     /** Complement written by the same compare, kPredNone = unknown. */
     std::array<PredIdx, kNumPredRegs> complementOf_;
 
-    /** Overestimating loop predictor state (§3.2): per static loop. */
+    /** Per static wish loop: the overestimating loop predictor's state
+     *  (§3.2) and the front-end loop-instance counter (§3.5.4). */
     struct LoopTripState
     {
         std::uint32_t fetchIter = 0; ///< iterations fetched this entry
@@ -153,9 +153,9 @@ class WishEngine
         /** The EWMA trains on the hybrid's *first* natural exit per loop
          *  instance; suppressed exits must not feed back into it. */
         bool recordedThisInstance = false;
+        std::uint32_t instance = 0; ///< front-end exits so far
     };
     std::map<std::uint32_t, LoopTripState> loopTrips_;
-    std::map<std::uint32_t, std::uint32_t> loopInstanceOf_;
     bool loopBias_;
     Counter *biasOverrides_;
 
