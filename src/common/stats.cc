@@ -5,19 +5,21 @@
 
 namespace wisc {
 
+namespace {
+
+/** "counter", "histogram" or "table": the kind `name` is registered as
+ *  in `r`; nullptr if the name is unknown. */
 const char *
-StatRecord::kindOf(const std::string &name) const
+kindOf(const StatRecord &r, const std::string &name)
 {
-    if (stats.count(name))
+    if (r.stats.count(name))
         return "counter";
-    if (hists.count(name))
+    if (r.hists.count(name))
         return "histogram";
-    if (tables.count(name))
+    if (r.tables.count(name))
         return "table";
     return nullptr;
 }
-
-namespace {
 
 /** The `wanted` statistic `name` in `m`; a hard error naming what the
  *  record holds under that name instead, if anything. */
@@ -29,7 +31,7 @@ lookup(const StatRecord &r, const std::map<std::string, T> &m,
     auto it = m.find(name);
     if (it != m.end())
         return it->second;
-    if (const char *actual = r.kindOf(name))
+    if (const char *actual = kindOf(r, name))
         wisc_fatal("statistic '", name, "' is a ", actual, ", not a ",
                    wanted, "; read it with require<",
                    actual[0] == 'c'
@@ -71,7 +73,7 @@ void
 StatSet::claim(const std::string &name, const char *kind,
                const std::string &desc)
 {
-    if (const char *had = record_.kindOf(name);
+    if (const char *had = kindOf(record_, name);
         had && std::string_view(had) != kind)
         wisc_fatal("statistic '", name, "' is a ", had,
                    "; cannot re-register it as a ", kind);

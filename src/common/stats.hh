@@ -192,10 +192,6 @@ struct StatRecord
 
     /** A counter's value: require<Counter>(name). */
     std::uint64_t require(const std::string &name) const;
-
-    /** "counter", "histogram" or "table": the kind `name` is registered
-     *  as; nullptr if the name is unknown. */
-    const char *kindOf(const std::string &name) const;
 };
 
 template <> const Counter &
