@@ -24,8 +24,6 @@ main()
 
     CompiledWorkload w = compileWorkload("vpr");
 
-    SimParams base;
-    StatSet s;
     double normal = static_cast<double>(
         run(programFor(w, BinaryVariant::Normal, InputSet::A))
             .result.cycles);

@@ -10,12 +10,13 @@
  * a run's RunOutcome (harness/runner.hh) keeps a copy of the record.
  * Formulas (ratios such as IPC) are computed by the reader.
  *
- * Readers have two lookup flavors: stat() tolerates unknown names (for
- * statistics that are only registered when the event occurs, such as the
- * per-class wish-branch counters), while require<T>() treats an unknown
- * name — or a name registered as a different kind of statistic — as a
- * hard configuration error. Use it for statistics the simulator always
- * registers, so a misspelled name cannot silently read as zero.
+ * Readers have two lookup flavors: stat() (a StatSet's get()) tolerates
+ * unknown names (for statistics that are only registered when the event
+ * occurs, such as the per-class wish-branch counters), while
+ * require<T>() treats an unknown name — or a name registered as a
+ * different kind of statistic — as a hard configuration error. Use it
+ * for statistics the simulator always registers, so a misspelled name
+ * cannot silently read as zero.
  */
 
 #ifndef WISC_COMMON_STATS_HH_
