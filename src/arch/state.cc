@@ -154,30 +154,22 @@ ArchState::io(StateIO &io)
 }
 
 void
-UndoLog::recordReg(RegIdx r, Word old)
+UndoLog::grow()
 {
-    entries_.push_back({Kind::Reg, r, 0, static_cast<UWord>(old)});
-}
-
-void
-UndoLog::recordPred(PredIdx p, bool old)
-{
-    entries_.push_back({Kind::Pred, p, 0, old ? 1u : 0u});
-}
-
-void
-UndoLog::recordMem(Addr a, std::uint8_t size, UWord old)
-{
-    entries_.push_back({Kind::Mem, size, a, old});
+    const std::size_t capacity = entries_.empty() ? 64 : 2 * entries_.size();
+    std::vector<Entry> bigger(capacity);
+    for (Mark p = base_; p < end_; ++p)
+        bigger[p & (capacity - 1)] = entries_[p & (entries_.size() - 1)];
+    entries_.swap(bigger);
 }
 
 void
 UndoLog::rollbackTo(Mark m, ArchState &state)
 {
     wisc_assert(m >= base_, "rolling back committed state");
-    wisc_assert(m <= mark(), "bad undo mark");
-    while (mark() > m) {
-        const Entry &e = entries_.back();
+    wisc_assert(m <= end_, "bad undo mark");
+    while (end_ > m) {
+        const Entry &e = entries_[--end_ & (entries_.size() - 1)];
         switch (e.kind) {
           case Kind::Reg:
             state.writeReg(e.idxOrSize, static_cast<Word>(e.old));
@@ -193,18 +185,14 @@ UndoLog::rollbackTo(Mark m, ArchState &state)
                 state.mem().writeWord(e.addr, e.old);
             break;
         }
-        entries_.pop_back();
     }
 }
 
 void
 UndoLog::commitTo(Mark m)
 {
-    wisc_assert(m <= mark(), "bad commit mark");
-    while (base_ < m) {
-        entries_.pop_front();
-        ++base_;
-    }
+    wisc_assert(m <= end_, "bad commit mark");
+    base_ = std::max(base_, m);
 }
 
 } // namespace wisc

@@ -13,7 +13,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
@@ -114,7 +113,11 @@ class ArchState
 
 /**
  * Log of architectural side effects, enabling precise rollback of
- * speculatively executed instructions. Entries are popped in LIFO order.
+ * speculatively executed instructions. Entries are undone newest-first
+ * and committed oldest-first, so the log is one flat ring: a commit
+ * only moves its start. The ring starts empty and doubles when full,
+ * so it stays within twice the most entries ever live at once — for
+ * the timing core, the undo records of its in-flight window.
  */
 class UndoLog
 {
@@ -123,11 +126,25 @@ class UndoLog
      *  some point in time. Remains valid across commits. */
     using Mark = std::uint64_t;
 
-    Mark mark() const { return base_ + entries_.size(); }
+    Mark mark() const { return end_; }
 
-    void recordReg(RegIdx r, Word old);
-    void recordPred(PredIdx p, bool old);
-    void recordMem(Addr a, std::uint8_t size, UWord old);
+    void
+    recordReg(RegIdx r, Word old)
+    {
+        push({Kind::Reg, r, 0, static_cast<UWord>(old)});
+    }
+
+    void
+    recordPred(PredIdx p, bool old)
+    {
+        push({Kind::Pred, p, 0, old ? 1u : 0u});
+    }
+
+    void
+    recordMem(Addr a, std::uint8_t size, UWord old)
+    {
+        push({Kind::Mem, size, a, old});
+    }
 
     /** Undo every effect recorded after the mark. */
     void rollbackTo(Mark m, ArchState &state);
@@ -136,7 +153,8 @@ class UndoLog
      *  Called at retirement to bound memory. */
     void commitTo(Mark m);
 
-    std::size_t size() const { return entries_.size(); }
+    /** Live entries: recorded, and neither committed nor rolled back. */
+    std::size_t size() const { return static_cast<std::size_t>(end_ - base_); }
 
   private:
     enum class Kind : std::uint8_t { Reg, Pred, Mem };
@@ -149,8 +167,22 @@ class UndoLog
         UWord old;
     };
 
-    std::deque<Entry> entries_;
-    Mark base_ = 0; ///< absolute index of entries_.front()
+    void
+    push(const Entry &e)
+    {
+        if (size() == entries_.size())
+            grow();
+        entries_[end_ & (entries_.size() - 1)] = e;
+        ++end_;
+    }
+
+    void grow();
+
+    /** Live entries are the absolute positions [base_, end_); position
+     *  p lives at entries_[p % entries_.size()], a power of two. */
+    std::vector<Entry> entries_;
+    Mark base_ = 0;
+    Mark end_ = 0;
 };
 
 } // namespace wisc

@@ -1,12 +1,20 @@
 /**
  * @file
- * Fixed-capacity ring buffer used for the cycle-level core's ROB and
- * fetch queue. Unlike std::deque, slots are allocated exactly once per
- * run (reset()) and elements are constructed in place with
- * emplace_back(), so the per-µop hot path never touches the allocator
- * and never moves elements between chunks.
+ * The in-flight window of the cycle-level core: one fixed-capacity ring
+ * of µop records, oldest first. The oldest renamed() entries are the
+ * reorder buffer; the rest, up to the back, are the fetch queue. A µop
+ * keeps the slot fetch gives it until it retires or is squashed, so
+ * rename and every later stage write its record in place and nothing
+ * is copied from one structure to another.
  *
- * Indexing is logical: operator[](0) is the oldest element (front),
+ * Slots are raw storage, allocated once per capacity and never
+ * initialized, so a run touches only the slots it uses: push() hands
+ * out a slot with unspecified contents, and the caller writes each
+ * field before anything reads it. T must therefore be an aggregate
+ * (its objects come into being with the storage) and trivially
+ * destructible (a slot is reused without being destroyed).
+ *
+ * Indexing is logical: operator[](0) is the oldest entry (front),
  * operator[](size()-1) the youngest (back).
  */
 
@@ -14,73 +22,93 @@
 #define WISC_COMMON_RING_HH_
 
 #include <cstddef>
-#include <vector>
+#include <memory>
+#include <type_traits>
 
 #include "common/log.hh"
 
 namespace wisc {
 
 template <typename T>
-class RingBuffer
+class UopRing
 {
+    static_assert(std::is_aggregate_v<T> &&
+                      std::is_trivially_destructible_v<T>,
+                  "ring slots are raw storage written field by field");
+
   public:
-    /** Drop all contents and (re)allocate for exactly 'capacity'
-     *  elements. Called once per simulation run. */
+    /** Empty the ring, allocating exactly 'capacity' slots unless it
+     *  already has that many. */
     void
     reset(std::size_t capacity)
     {
-        wisc_assert(capacity > 0, "ring buffer needs a capacity");
-        slots_.assign(capacity, T{});
+        wisc_assert(capacity > 0, "ring needs a capacity");
+        if (capacity != capacity_) {
+            slots_.reset(std::allocator<T>().allocate(capacity));
+            slots_.get_deleter().capacity = capacity;
+            capacity_ = capacity;
+        }
         head_ = 0;
         count_ = 0;
+        renamed_ = 0;
     }
 
     std::size_t size() const { return count_; }
     bool empty() const { return count_ == 0; }
+    /** Entries in the renamed prefix (the reorder buffer). */
+    std::size_t renamed() const { return renamed_; }
 
-    /** Reinitialize the slot past the back to T{} and return it. */
+    /** Claim the slot past the back, at the young end of the
+     *  unrenamed tail. Its contents are unspecified. */
     T &
-    emplace_back()
+    push()
     {
-        wisc_assert(count_ < slots_.size(), "ring buffer overflow");
-        T &slot = slots_[wrap(head_ + count_)];
-        slot = T{};
-        ++count_;
-        return slot;
+        wisc_assert(count_ < capacity_, "ring overflow");
+        return slots_[wrap(head_ + count_++)];
+    }
+
+    /** The oldest unrenamed entry: the one rename() moves next. */
+    T &
+    firstUnrenamed()
+    {
+        wisc_assert(renamed_ < count_, "no unrenamed entry");
+        return slots_[wrap(head_ + renamed_)];
+    }
+
+    /** Move firstUnrenamed() into the renamed prefix, in place. */
+    void
+    rename()
+    {
+        wisc_assert(renamed_ < count_, "no unrenamed entry");
+        ++renamed_;
     }
 
     T &front() { return slots_[head_]; }
-    const T &front() const { return slots_[head_]; }
     T &back() { return slots_[wrap(head_ + count_ - 1)]; }
-    const T &back() const { return slots_[wrap(head_ + count_ - 1)]; }
-
     T &operator[](std::size_t i) { return slots_[wrap(head_ + i)]; }
-    const T &operator[](std::size_t i) const
-    {
-        return slots_[wrap(head_ + i)];
-    }
 
+    /** Retire the oldest entry, which must be renamed. */
     void
     pop_front()
     {
-        wisc_assert(count_ > 0, "pop_front on empty ring");
+        wisc_assert(renamed_ > 0, "pop_front of an unrenamed entry");
         head_ = wrap(head_ + 1);
         --count_;
+        --renamed_;
     }
 
+    /** Drop the youngest entry: an unrenamed one while any remains,
+     *  else the youngest renamed one. */
     void
     pop_back()
     {
         wisc_assert(count_ > 0, "pop_back on empty ring");
-        --count_;
+        if (--count_ < renamed_)
+            renamed_ = count_;
     }
 
-    void
-    clear()
-    {
-        head_ = 0;
-        count_ = 0;
-    }
+    /** Drop the whole unrenamed tail (a flush squashes it first). */
+    void dropUnrenamed() { count_ = renamed_; }
 
   private:
     std::size_t
@@ -88,12 +116,24 @@ class RingBuffer
     {
         // Capacity is rarely a power of two, so avoid '%': i is always
         // < 2 * capacity here.
-        return i >= slots_.size() ? i - slots_.size() : i;
+        return i >= capacity_ ? i - capacity_ : i;
     }
 
-    std::vector<T> slots_;
+    struct Free
+    {
+        std::size_t capacity = 0;
+        void
+        operator()(T *p) const
+        {
+            std::allocator<T>().deallocate(p, capacity);
+        }
+    };
+
+    std::unique_ptr<T[], Free> slots_;
+    std::size_t capacity_ = 0;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
+    std::size_t renamed_ = 0;
 };
 
 } // namespace wisc

@@ -1,6 +1,7 @@
 #include "harness/bench_cli.hh"
 
 #include <iostream>
+#include <thread>
 
 #include "common/log.hh"
 #include "harness/json_writer.hh"
@@ -59,6 +60,15 @@ BenchCli::finalizeDoc()
     const std::string dir = RunService::global().cacheDir();
     if (!dir.empty())
         doc_["cache_dir"] = dir;
+
+    // What produced the numbers, so documents from another build type,
+    // compiler, sanitizer or host size can be told apart.
+    json::Value provenance = json::Value::object();
+    provenance["build_type"] = WISC_BUILD_TYPE;
+    provenance["compiler"] = WISC_COMPILER;
+    provenance["sanitizer"] = *WISC_SANITIZER ? WISC_SANITIZER : "none";
+    provenance["nproc"] = std::thread::hardware_concurrency();
+    doc_["provenance"] = std::move(provenance);
 }
 
 int

@@ -7,15 +7,22 @@
  * run_matrix gives each experiment its own BenchCli and nests that
  * document in its own:
  *
- *   { "bench": name, "schema_version": 1, "jobs": N,
- *     "wall_seconds": t,
+ *   { "bench": name, "schema_version": 1,
+ *     <sections added via add()/addResults()/...>,
+ *     "jobs": N, "wall_seconds": t,
  *     "cache_hits": d, "cache_misses": m, "dedup_hits": h,
- *     <sections added via add()/addResults()/...> }
+ *     "cache_corrupt": c,
+ *     "provenance": { "build_type": "RelWithDebInfo",
+ *                     "compiler": "GNU 12.2.0", "sanitizer": "none",
+ *                     "nproc": P } }
  *
  * cache_hits counts persistent-store replays, dedup_hits in-process
  * coalesced/memoized requests, cache_misses fresh simulations — all
  * deltas over this CLI's lifetime, so the numbers stay per-experiment
  * even when many experiments share one process (bench/run_matrix).
+ * provenance names the CMake build type, the compiler, the sanitizers
+ * ("none" when uninstrumented) and the host's hardware threads; the
+ * commit is not recorded.
  *
  * A document reports no simulator throughput: its outcomes may be
  * replays, and its wall clock covers compilation and emulation too.

@@ -50,6 +50,8 @@ Core::Core(const SimParams &params, StatSet &stats)
     // With any of these at 0 no µop could ever retire, and the core
     // would spin until maxCycles.
     const std::pair<const char *, unsigned> atLeastOne[] = {
+        {"robSize", params.robSize},
+        {"fetchWidth", params.fetchWidth},
         {"decodeWidth", params.decodeWidth},
         {"issueWidth", params.issueWidth},
         {"retireWidth", params.retireWidth},
@@ -143,7 +145,7 @@ Core::addSink(ProbeSink *s)
 void
 Core::emitFetch(const DynInst &di, Cycle c)
 {
-    FetchProbe p{di.uid, di.pc, di.inst, c};
+    FetchProbe p{di.uid, di.pc, &instOf(di), c};
     for (unsigned i = 0; i < nsinks_; ++i)
         sinks_[i]->onFetch(p);
 }
@@ -175,13 +177,13 @@ Core::emitComplete(const DynInst &di, Cycle c)
 void
 Core::emitRetire(const DynInst &di)
 {
-    const Instruction &si = *di.inst;
+    const Instruction &si = instOf(di);
     RetireProbe p;
     p.uid = di.uid;
     p.seq = di.seq;
     p.pc = di.pc;
     p.cycle = now_;
-    p.predFalse = !di.step.qpTrue;
+    p.predFalse = !di.qpTrue;
     p.isCondBr = si.op == Opcode::Br;
     p.mispredicted = di.mispredicted;
     p.confValid =
@@ -215,15 +217,15 @@ Core::emitCycle()
 {
     CycleProbe p;
     p.cycle = now_;
-    p.robEmpty = rob_.empty();
+    p.robEmpty = uops_.renamed() == 0;
     p.renameBlocked = renameBlocked_;
     // The head facts are reported only when retirement actually
     // stopped on the head this cycle (not when it exhausted its width
     // or drained the ROB): only then is the head's stall reason what
     // limited the cycle. Retirement runs first in the cycle, so the
-    // blocking µop is still rob_.front() here.
-    if (retireStalledOnHead_ && !rob_.empty()) {
-        const DynInst &h = rob_.front();
+    // blocking µop is still the ROB head here.
+    if (retireStalledOnHead_ && uops_.renamed() > 0) {
+        const DynInst &h = uops_.front();
         const bool isLoad =
             h.isLoadOp() && !h.memSkipped && h.selectPart != 2;
         // The head's producers have all completed (they are older and
@@ -246,12 +248,12 @@ Core::emitCycle()
 DynInst *
 Core::findInst(SeqNum seq)
 {
-    if (rob_.empty() || seq == 0)
+    if (uops_.renamed() == 0 || seq == 0)
         return nullptr;
-    SeqNum base = rob_.front().seq;
-    if (seq < base || seq >= base + rob_.size())
+    SeqNum base = uops_.front().seq;
+    if (seq < base || seq >= base + uops_.renamed())
         return nullptr;
-    return &rob_[static_cast<std::size_t>(seq - base)];
+    return &uops_[static_cast<std::size_t>(seq - base)];
 }
 
 const DynInst *
@@ -281,7 +283,7 @@ Core::producerDone(SeqNum seq) const
 void
 Core::computeDeps(DynInst &di)
 {
-    const Instruction &si = *di.inst;
+    const Instruction &si = instOf(di);
     const bool noDep = params_.oracle.noDepend;
     const bool predPredicted = di.hasPredQp && si.qp != 0 && !di.isCondBr();
 
@@ -375,7 +377,7 @@ Core::computeDeps(DynInst &di)
 
     if (noDep && si.qp != 0) {
         // NO-DEPEND oracle: the predicate value is known at rename.
-        if (!di.step.qpTrue)
+        if (!di.qpTrue)
             return; // pure NOP: no deps, claims nothing
         if (di.readsRs1())
             depReg(si.rs1);
@@ -444,7 +446,7 @@ Core::computeDeps(DynInst &di)
 void
 Core::claimProducers(DynInst &di)
 {
-    const Instruction &si = *di.inst;
+    const Instruction &si = instOf(di);
     if (di.writesReg() && si.rd != kRegZero) {
         di.prevRegProducer = regProducer_[si.rd];
         di.claimedReg = si.rd;
@@ -625,48 +627,65 @@ Core::youngestOlderStore(SeqNum seq, Addr addr, unsigned size) const
 // Fetch
 // ---------------------------------------------------------------------
 
-void
+DynInst &
 Core::fetchOne(std::uint32_t idx)
 {
-    DynInst &di = fetchQueue_.emplace_back();
-    di.pc = idx;
+    const Instruction &si = code_[idx];
+    DynInst &di = uops_.push();
     di.uid = nextUid_++;
     di.fetchCycle = now_;
-    di.inst = &code_[idx];
+    di.pc = idx;
     di.pre = pre_[idx].flags;
     di.exLat = pre_[idx].exLat;
-    di.undoStart = undo_.mark();
+    di.fetchMode = FrontEndMode::Normal;
+    di.loopOutcome = LoopOutcome::NotApplicable;
+    di.selectPart = 0;
+    di.predictorTaken = false;
+    di.predictedTaken = false;
+    di.highConf = false;
+    di.mispredicted = false;
+    di.hasPredQp = false;
+    di.predQpVal = false;
+    di.dynPredTrigger = false;
+    di.dynRegion = dynActive_;
+    di.dynNullified = false;
+    di.dynOutcomeKnown = false;
+    di.dynPredFailed = false;
+
+    const UndoLog::Mark before = undo_.mark();
+    StepResult step;
     if (dynActive_) {
         // Dynamically predicated region: fetch runs linearly to the
         // merge point; only the µop the real control flow is at
         // executes, the rest are nullified (predicated-FALSE NOPs).
-        di.dynRegion = true;
         if (idx == dynRealPc_) {
-            di.step =
-                executeInst(*di.inst, idx, codeSize_, state_, &undo_);
-            dynRealPc_ = di.step.nextIndex;
+            step = executeInst(si, idx, codeSize_, state_, &undo_);
+            dynRealPc_ = step.nextIndex;
         } else {
             di.dynNullified = true;
-            di.step.qpTrue = false;
-            di.step.nextIndex = idx + 1;
+            step.qpTrue = false;
+            step.nextIndex = idx + 1;
             ++*dynNullifiedUops_;
         }
         ++*dynRegionUops_;
     } else {
-        di.step = executeInst(*di.inst, idx, codeSize_, state_, &undo_);
+        step = executeInst(si, idx, codeSize_, state_, &undo_);
     }
     di.undoEnd = undo_.mark();
-    di.renameReady = now_ + params_.frontEndDelay();
-    di.memAddr = di.step.memAddr;
-    di.memSize = di.step.memSize;
-    di.memSkipped = di.isMemOp() && !di.step.qpTrue;
+    di.qpTrue = step.qpTrue;
+    di.taken = step.taken;
+    di.halted = step.halted;
+    di.nextIndex = step.nextIndex;
+    di.memAddr = step.memAddr;
+    di.memSize = step.memSize;
+    di.memSkipped = di.isMemOp() && !step.qpTrue;
 
     // Predicate-prediction capture (§3.5.3), before this µop's own
     // buffer maintenance. Region µops skip the capture: their
     // dependence shape is fixed by the region (guarded by the trigger),
     // not by the §3.5.3 buffer.
-    if (params_.wishEnabled && di.inst->qp != 0 && !di.dynRegion) {
-        auto v = wish_.predictedPredicate(di.inst->qp);
+    if (params_.wishEnabled && si.qp != 0 && !di.dynRegion) {
+        auto v = wish_.predictedPredicate(si.qp);
         if (v) {
             di.hasPredQp = true;
             di.predQpVal = *v;
@@ -703,12 +722,28 @@ Core::fetchOne(std::uint32_t idx)
         fetchPc_ = idx + 1;
     }
 
-    if (di.step.halted)
+    if (di.halted)
         fetchHalted_ = true;
 
     ++*cFetched_;
+    ++fetchedUops_;
     if (nsinks_)
         emitFetch(di, now_);
+
+    // Select-µop expansion (§5.3.3) is known here, so the select half
+    // gets the slot right after its compute half now: rename then
+    // writes both in place. It becomes a µop of its own, with its own
+    // uid and fetch probe, only at rename.
+    if (params_.predMech == PredMechanism::SelectUop &&
+        (di.pre & kPreSelectShape) && !params_.oracle.noDepend &&
+        !di.hasPredQp && !di.dynRegion) {
+        di.selectPart = 1;
+        DynInst &sel = uops_.push();
+        static_cast<FetchedUop &>(sel) = di;
+        sel.selectPart = 2;
+        di.undoEnd = before; // effects commit with the select half
+    }
+    return di;
 }
 
 /**
@@ -747,18 +782,9 @@ Core::dynEndRegion()
 {
     const bool success = dynRealPc_ == dynRegionEnd_;
     DynInst *t = nullptr;
-    for (std::size_t i = rob_.size(); i-- > 0;) {
-        if (rob_[i].uid == dynOutstandingUid_) {
-            t = &rob_[i];
-            break;
-        }
-    }
-    if (!t)
-        for (std::size_t i = 0; i < fetchQueue_.size(); ++i)
-            if (fetchQueue_[i].uid == dynOutstandingUid_) {
-                t = &fetchQueue_[i];
-                break;
-            }
+    for (std::size_t i = uops_.size(); i-- > 0 && !t;)
+        if (uops_[i].uid == dynOutstandingUid_)
+            t = &uops_[i];
     wisc_assert(t, "dynamic-predication trigger vanished mid-region");
     t->dynOutcomeKnown = true;
     t->dynPredFailed = !success;
@@ -792,9 +818,9 @@ Core::decodeWish(std::uint32_t idx)
  * stall; fastForward() has no fetch to stall.
  */
 WISC_ALWAYS_INLINE Core::FetchStall
-Core::processControl(DynInst &di)
+Core::processControl(FetchedUop &di)
 {
-    const Instruction &si = *di.inst;
+    const Instruction &si = instOf(di);
     const std::uint32_t idx = di.pc;
     const auto &oracle = params_.oracle;
     FetchStall stall = FetchStall::None;
@@ -805,14 +831,14 @@ Core::processControl(DynInst &di)
         bool effective;
 
         if (oracle.perfectCBP) {
-            predictorTaken = di.step.taken;
-            effective = di.step.taken;
+            predictorTaken = di.taken;
+            effective = di.taken;
             di.highConf = true;
             di.fetchMode = FrontEndMode::Normal;
         } else if (params_.wishEnabled && si.wish != WishKind::None) {
             bool highConf =
                 oracle.perfectConfidence
-                    ? (predictorTaken == di.step.taken)
+                    ? (predictorTaken == di.taken)
                     : conf_->estimate(idx, di.ckpt.globalHistory);
             WishDecision d = wish_.onWishBranch(idx, si.wish, si.qp,
                                                 predictorTaken, highConf,
@@ -829,7 +855,7 @@ Core::processControl(DynInst &di)
                 // confidence exactly like the wish path would.
                 const bool highConf =
                     oracle.perfectConfidence
-                        ? (predictorTaken == di.step.taken)
+                        ? (predictorTaken == di.taken)
                         : conf_->estimate(idx, di.ckpt.globalHistory);
                 di.highConf = highConf;
                 if (!highConf &&
@@ -849,7 +875,7 @@ Core::processControl(DynInst &di)
                         effective = false;
                         dynActive_ = true;
                         dynRegionEnd_ = *merge;
-                        dynRealPc_ = di.step.nextIndex;
+                        dynRealPc_ = di.nextIndex;
                         dynOutstandingUid_ = di.uid;
                         dynTriggerSeq_ = 0;
                         ++*dynTriggers_;
@@ -886,7 +912,7 @@ Core::processControl(DynInst &di)
       case Opcode::Ret: {
         std::uint32_t tgt = ras_.pop();
         if (oracle.perfectCBP)
-            tgt = di.step.nextIndex;
+            tgt = di.nextIndex;
         if (tgt == 0 || tgt >= codeSize_)
             tgt = idx + 1;
         di.predictedTaken = true;
@@ -898,7 +924,7 @@ Core::processControl(DynInst &di)
         std::uint32_t tgt =
             itc_.predict(idx, di.ckpt.globalHistory);
         if (oracle.perfectCBP)
-            tgt = di.step.nextIndex;
+            tgt = di.nextIndex;
         if (tgt == 0 || tgt >= codeSize_)
             tgt = idx + 1;
         di.predictedTaken = true;
@@ -923,7 +949,7 @@ Core::stageFetch()
     if ((fetchFrozen_ && !dynActive_) || fetchHalted_ ||
         now_ < fetchStallUntil_)
         return;
-    if (fetchQueue_.size() >= fetchQueueCap_)
+    if (fetchedUops_ >= fetchQueueCap_)
         return;
     if (fetchPc_ >= codeSize_) {
         fetchHalted_ = true; // only a flush can redirect us
@@ -952,7 +978,7 @@ Core::stageFetch()
         }
         if ((instAddr(fetchPc_) & lineMask) != startLine)
             break;
-        if (fetchQueue_.size() >= fetchQueueCap_)
+        if (fetchedUops_ >= fetchQueueCap_)
             break;
 
         std::uint32_t idx = fetchPc_;
@@ -963,17 +989,19 @@ Core::stageFetch()
         }
 
         ++processed;
-        fetchOne(idx);
-        const DynInst &di = fetchQueue_.back();
+        const DynInst &di = fetchOne(idx);
 
         // NO-FETCH oracle: predicated-FALSE µops cost no bandwidth and
         // are dropped from the pipe entirely (except unconditional
         // compares, whose clearing writes are architectural).
-        bool elide = params_.oracle.noFetch && !di.step.qpTrue &&
+        bool elide = params_.oracle.noFetch && !di.qpTrue &&
                      !di.isCtrl() &&
-                     !(di.inst->unc && di.writesPred());
+                     !(instOf(di).unc && di.writesPred());
         if (elide) {
-            fetchQueue_.pop_back();
+            if (di.selectPart == 1)
+                uops_.pop_back();
+            uops_.pop_back();
+            --fetchedUops_;
             continue;
         }
 
@@ -981,7 +1009,7 @@ Core::stageFetch()
         // Fetch ends at the first predicted-taken control transfer.
         if (di.isCtrl() && di.predictedTaken)
             break;
-        if (di.step.halted)
+        if (di.halted)
             break;
     }
     hFetchWidth_->sample(params_.fetchWidth - slots);
@@ -996,80 +1024,72 @@ Core::stageRename()
 {
     renameBlocked_ = false;
     unsigned renamed = 0;
-    while (renamed < params_.decodeWidth && !fetchQueue_.empty()) {
-        DynInst &front = fetchQueue_.front();
-        if (front.renameReady > now_)
+    const Cycle delay = params_.frontEndDelay();
+    while (renamed < params_.decodeWidth && fetchedUops_ > 0) {
+        DynInst &di = uops_.firstUnrenamed();
+        if (di.fetchCycle + delay > now_)
             break;
 
-        const bool expand =
-            params_.predMech == PredMechanism::SelectUop &&
-            (front.pre & kPreSelectShape) &&
-            !params_.oracle.noDepend &&
-            !front.hasPredQp &&
-            !front.dynRegion;
-        const unsigned need = expand ? 2 : 1;
-
-        if (rob_.size() + need > params_.robSize ||
+        const unsigned need = di.selectPart == 1 ? 2 : 1;
+        if (uops_.renamed() + need > params_.robSize ||
             iqCount_ + need > params_.iqSize) {
             renameBlocked_ = true;
             break;
         }
+        --fetchedUops_;
 
-        if (expand) {
-            // Compute half: executes the operation unconditionally into
-            // a temporary; carries the memory access.
-            DynInst &a = rob_.emplace_back();
-            a = front;
-            a.seq = nextSeq_++;
-            a.selectPart = 1;
-            if (a.isStoreOp() && !a.memSkipped)
-                indexStore(a.seq, a.memAddr, a.memSize);
-            a.undoEnd = a.undoStart; // effects commit with the select
-            computeDeps(a);
-            a.inIQ = true;
-            ++iqCount_;
-            scheduleOrReady(a);
-
+        // A compute half (selectPart 1) executes the operation
+        // unconditionally into a temporary and carries the memory
+        // access.
+        renameOne(di);
+        if (need == 2) {
             // Select half: picks new vs old value once the predicate
             // resolves; owns the architectural effects.
-            DynInst &b = rob_.emplace_back();
-            b = front;
-            fetchQueue_.pop_front();
-            b.seq = nextSeq_++;
-            b.uid = nextUid_++; // the select half is a distinct µop
-            b.selectPart = 2;
-            b.memSize = 0;
-            computeDeps(b);
-            b.inIQ = true;
-            ++iqCount_;
-            scheduleOrReady(b);
+            DynInst &sel = uops_.firstUnrenamed();
+            sel.uid = nextUid_++; // the select half is a distinct µop
+            renameOne(sel);
             if (nsinks_) {
-                emitFetch(b, b.fetchCycle);
-                emitRename(a);
-                emitRename(b);
+                emitFetch(sel, sel.fetchCycle);
+                emitRename(di);
+                emitRename(sel);
             }
-            renamed += 2;
-            continue;
-        }
-
-        DynInst &di = rob_.emplace_back();
-        di = front;
-        fetchQueue_.pop_front();
-        di.seq = nextSeq_++;
-        // Region µops rename strictly after their trigger (in order),
-        // so the trigger's seq is known by the time they need it.
-        if (dynOutstandingUid_ != 0 && di.uid == dynOutstandingUid_)
-            dynTriggerSeq_ = di.seq;
-        computeDeps(di);
-        di.inIQ = true;
-        ++iqCount_;
-        if (nsinks_)
+        } else if (nsinks_) {
             emitRename(di);
-        if (di.isStoreOp() && !di.memSkipped)
-            indexStore(di.seq, di.memAddr, di.memSize);
-        scheduleOrReady(di);
-        ++renamed;
+        }
+        renamed += need;
     }
+}
+
+/** Rename the oldest unrenamed µop, di, in place: it joins the ROB and
+ *  the scheduler. The fields past FetchedUop are written here, except
+ *  those valid only under a condition (a wait-chain link, a claimed
+ *  destination, the completion cycle), which are written when the
+ *  condition first holds. */
+void
+Core::renameOne(DynInst &di)
+{
+    uops_.rename();
+    di.seq = nextSeq_++;
+    // Region µops rename strictly after their trigger (in order), so
+    // the trigger's seq is known by the time they need it.
+    if (di.uid == dynOutstandingUid_)
+        dynTriggerSeq_ = di.seq;
+    di.numDeps = 0;
+    di.predDepMask = 0;
+    di.wakeHead = 0;
+    di.claimsReg = false;
+    di.claimedPred[0] = kPredNone;
+    di.claimedPred[1] = kPredNone;
+    di.inIQ = true;
+    di.issued = false;
+    di.completed = false;
+    di.l1Missed = false;
+    di.lastWaitPred = false;
+    computeDeps(di);
+    ++iqCount_;
+    if (di.isStoreOp() && !di.memSkipped && di.selectPart != 2)
+        indexStore(di.seq, di.memAddr, di.memSize);
+    scheduleOrReady(di);
 }
 
 // ---------------------------------------------------------------------
@@ -1189,9 +1209,9 @@ Core::stageIssuePoll()
 {
     unsigned issued = 0;
     unsigned memPorts = 0;
-    const std::size_t n = rob_.size();
+    const std::size_t n = uops_.renamed();
     for (std::size_t i = 0; i < n && issued < params_.issueWidth; ++i) {
-        DynInst &di = rob_[i];
+        DynInst &di = uops_[i];
         if (!di.inIQ || di.issued)
             continue;
         const bool ready = depsReady(di);
@@ -1249,13 +1269,13 @@ Core::stageComplete()
 void
 Core::resolveBranch(DynInst &di)
 {
-    const Instruction &si = *di.inst;
+    const Instruction &si = instOf(di);
 
     if (si.op == Opcode::Jmp || si.op == Opcode::Call)
         return; // direct and unconditional: resolved at fetch
 
     if (si.op == Opcode::JmpR || si.op == Opcode::Ret) {
-        std::uint32_t actual = di.step.nextIndex;
+        std::uint32_t actual = di.nextIndex;
         di.mispredicted = di.predictedTarget != actual;
         if (di.mispredicted)
             flushAfter(di, actual, FlushCause::Normal);
@@ -1263,7 +1283,7 @@ Core::resolveBranch(DynInst &di)
     }
 
     if (auto cause = resolveCondBranch(di))
-        flushAfter(di, di.step.nextIndex, *cause);
+        flushAfter(di, di.nextIndex, *cause);
 }
 
 /**
@@ -1273,10 +1293,10 @@ Core::resolveBranch(DynInst &di)
  * front end's path stands.
  */
 WISC_ALWAYS_INLINE std::optional<FlushCause>
-Core::resolveCondBranch(DynInst &di)
+Core::resolveCondBranch(FetchedUop &di)
 {
-    const Instruction &si = *di.inst;
-    const bool actual = di.step.taken;
+    const Instruction &si = instOf(di);
+    const bool actual = di.taken;
     di.mispredicted = di.predictorTaken != actual;
 
     if (di.dynPredTrigger) {
@@ -1343,10 +1363,10 @@ Core::resolveCondBranch(DynInst &di)
  *  speculative history (with the branch's true outcome shifted in),
  *  the RAS, and the wish mode machine and predicate buffer. */
 WISC_ALWAYS_INLINE void
-Core::repairFrontEnd(const DynInst &branch)
+Core::repairFrontEnd(const FetchedUop &branch)
 {
-    if (branch.inst->op == Opcode::Br)
-        bpred_->recover(branch.pc, branch.step.taken, branch.ckpt);
+    if (instOf(branch).op == Opcode::Br)
+        bpred_->recover(branch.pc, branch.taken, branch.ckpt);
     ras_.restore(branch.rasCkpt);
     wish_.onFlush();
 }
@@ -1356,21 +1376,24 @@ Core::flushAfter(const DynInst &branch, std::uint32_t redirectPc,
                  FlushCause cause)
 {
     ++*cFlushes_;
-    std::size_t squashed = fetchQueue_.size();
+    std::size_t squashed = fetchedUops_;
 
     if (nsinks_)
         emitFlush(branch, cause);
 
-    // Everything in the fetch queue is younger than anything renamed.
+    // Everything in the fetch queue is younger than anything renamed. A
+    // select half's reserved slot was never reported as fetched.
     if (nsinks_)
-        for (std::size_t i = 0; i < fetchQueue_.size(); ++i)
-            emitSquash(fetchQueue_[i]);
-    fetchQueue_.clear();
+        for (std::size_t i = uops_.renamed(); i < uops_.size(); ++i)
+            if (uops_[i].selectPart != 2)
+                emitSquash(uops_[i]);
+    uops_.dropUnrenamed();
+    fetchedUops_ = 0;
 
     // Squash renamed µops younger than the branch, restoring the rename
     // producer chains newest-first and repairing the wakeup chains.
-    while (!rob_.empty() && rob_.back().seq > branch.seq) {
-        DynInst &di = rob_.back();
+    while (!uops_.empty() && uops_.back().seq > branch.seq) {
+        DynInst &di = uops_.back();
         if (nsinks_)
             emitSquash(di);
         unlinkWaiter(di);
@@ -1387,7 +1410,7 @@ Core::flushAfter(const DynInst &branch, std::uint32_t redirectPc,
             if (di.claimedPred[s] != kPredNone)
                 predProducer_[di.claimedPred[s]] =
                     di.prevPredProducer[s];
-        rob_.pop_back();
+        uops_.pop_back();
         ++squashed;
     }
     nextSeq_ = branch.seq + 1;
@@ -1402,8 +1425,8 @@ Core::flushAfter(const DynInst &branch, std::uint32_t redirectPc,
 #ifndef NDEBUG
     // findInst()'s O(1) contract: seq numbers stay dense base..base+size
     // across partial flushes (debug builds only; the walk is O(window)).
-    for (std::size_t i = 0; i < rob_.size(); ++i)
-        wisc_assert(rob_[i].seq == rob_.front().seq + i,
+    for (std::size_t i = 0; i < uops_.size(); ++i)
+        wisc_assert(uops_[i].seq == uops_.front().seq + i,
                     "ROB seq density violated after flush at index ", i);
 #endif
 
@@ -1440,8 +1463,8 @@ Core::stageRetire()
 {
     unsigned retired = 0;
     retireStalledOnHead_ = false;
-    while (retired < params_.retireWidth && !rob_.empty()) {
-        DynInst &di = rob_.front();
+    while (retired < params_.retireWidth && uops_.renamed() > 0) {
+        DynInst &di = uops_.front();
         if (!di.completed || di.completeCycle > now_) {
             retireStalledOnHead_ = true;
             break;
@@ -1455,8 +1478,8 @@ Core::stageRetire()
         // construction and would teach the table that every branch
         // "reconverges" at the next pc.
         if (params_.dynPred == DynPredMode::MergePoint && !di.dynRegion)
-            merge_.onRetire(di.pc, di.step.nextIndex, di.isCondBr(),
-                            di.inst->target);
+            merge_.onRetire(di.pc, di.nextIndex, di.isCondBr(),
+                            instOf(di).target);
 
         if (di.isStoreOp() && !di.memSkipped) {
             if (di.selectPart != 1)
@@ -1467,7 +1490,7 @@ Core::stageRetire()
 
         undo_.commitTo(di.undoEnd);
 
-        if (!di.step.qpTrue)
+        if (!di.qpTrue)
             ++*cRetiredNops_;
         ++retiredUops_;
         ++*cRetired_;
@@ -1475,8 +1498,8 @@ Core::stageRetire()
         if (nsinks_)
             emitRetire(di);
 
-        bool halt = di.step.halted;
-        rob_.pop_front();
+        bool halt = di.halted;
+        uops_.pop_front();
         ++retired;
         if (halt) {
             haltRetired_ = true;
@@ -1489,12 +1512,12 @@ Core::stageRetire()
  *  predictor and the confidence estimator train against the fetch-time
  *  checkpoint, the ITC learns the indirect target. */
 WISC_ALWAYS_INLINE void
-Core::retireControl(const DynInst &di)
+Core::retireControl(const FetchedUop &di)
 {
-    const Instruction &si = *di.inst;
+    const Instruction &si = instOf(di);
     if (si.op == Opcode::Br && !di.dynRegion) {
         ++*cCondBranches_;
-        bpred_->train(di.pc, di.step.taken, di.ckpt);
+        bpred_->train(di.pc, di.taken, di.ckpt);
         if (di.mispredicted)
             ++*cMispredicts_;
         if (params_.wishEnabled && si.wish != WishKind::None) {
@@ -1507,7 +1530,7 @@ Core::retireControl(const DynInst &di)
             conf_->update(di.pc, di.ckpt.globalHistory, !di.mispredicted);
         }
     } else if (si.op == Opcode::JmpR) {
-        itc_.update(di.pc, di.ckpt.globalHistory, di.step.nextIndex);
+        itc_.update(di.pc, di.ckpt.globalHistory, di.nextIndex);
         if (di.mispredicted)
             ++*cMispredicts_;
     } else if (si.op == Opcode::Ret && di.mispredicted) {
@@ -1535,9 +1558,9 @@ Core::wishOutcomeCounter(WishKind kind, bool low, unsigned slot)
 }
 
 void
-Core::retireWishStats(const DynInst &di)
+Core::retireWishStats(const FetchedUop &di)
 {
-    const WishKind kind = di.inst->wish;
+    const WishKind kind = instOf(di).wish;
     if (kind == WishKind::None)
         return;
     const bool low = di.fetchMode == FrontEndMode::LowConf;
@@ -1573,7 +1596,7 @@ struct Core::FastForwardHooks
 {
     Core &core;
     /** The record of every control µop of the leg (see warmControl()). */
-    DynInst di;
+    FetchedUop di;
 
     void
     onInst(std::uint32_t pc, const Instruction &, bool)
@@ -1610,26 +1633,25 @@ struct Core::FastForwardHooks
  * it fell through without a flush, fetching the skipped block as
  * nullified µops.
  *
- * 'di' is reused for every control µop of a leg, because zeroing a
- * fresh 360-byte DynInst per branch costs more than the rules do. That
- * is sound because each prediction field the rules read was written
- * earlier in the same µop's sequence (by processControl() or
- * resolveCondBranch()), except mispredicted on an indirect jump or
- * return, which is cleared here.
+ * 'di' is zeroed once per leg and reused for every control µop of it,
+ * as a ring slot is reused without being cleared. That is sound
+ * because each field the rules read was written earlier in the same
+ * µop's sequence: pc, taken and nextIndex here, the prediction fields
+ * by processControl() or resolveCondBranch(), and mispredicted, which
+ * only a conditional branch's resolution writes, is cleared here. The
+ * dynamic-region flags stay false: fast-forward rejects MergePoint.
  */
 bool
-Core::warmControl(DynInst &di, std::uint32_t pc, bool taken,
+Core::warmControl(FetchedUop &di, std::uint32_t pc, bool taken,
                   std::uint32_t nextPc)
 {
     di.pc = pc;
-    di.inst = &code_[pc];
-    di.pre = pre_[pc].flags;
-    di.step.taken = taken;
-    di.step.nextIndex = nextPc;
+    di.taken = taken;
+    di.nextIndex = nextPc;
     di.mispredicted = false;
     processControl(di);
     bool flush = false;
-    if (di.inst->op == Opcode::Br) {
+    if (code_[pc].op == Opcode::Br) {
         flush = resolveCondBranch(di).has_value();
         if (flush)
             repairFrontEnd(di);
@@ -1650,7 +1672,7 @@ Core::warmControl(DynInst &di, std::uint32_t pc, bool taken,
  * redirect the core's fetch, so the walk stops there.
  */
 void
-Core::warmPredicatedBlock(DynInst &di, std::uint32_t branchPc)
+Core::warmPredicatedBlock(FetchedUop &di, std::uint32_t branchPc)
 {
     const std::uint32_t target = code_[branchPc].target;
     for (std::uint32_t i = branchPc + 1; i < target && i < codeSize_;
@@ -1695,8 +1717,11 @@ void
 Core::beginRun(const Program &prog)
 {
     resetMachine(prog);
-    fetchQueue_.reset(fetchQueueCap_);
-    rob_.reset(params_.robSize);
+    // The ROB plus the fetch queue, in which a µop that expands into a
+    // select-µop pair holds two slots.
+    uops_.reset(params_.robSize +
+                fetchQueueCap_ *
+                    (params_.predMech == PredMechanism::SelectUop ? 2 : 1));
 
     // The attribution engine rides the run as one more probe sink,
     // attached only when the params opt in, so default runs register no
@@ -1758,6 +1783,7 @@ Core::resetMachine(const Program &prog)
     retiredUops_ = 0;
     nextSeq_ = 1;
     nextUid_ = 1;
+    fetchedUops_ = 0;
     iqCount_ = 0;
     readyList_.clear();
     readySorted_ = true;
@@ -1844,7 +1870,7 @@ Core::advance(std::uint64_t targetRetired, bool drain)
                 break;
             fetchFrozen_ = true;
         }
-        if (fetchFrozen_ && rob_.empty() && fetchQueue_.empty())
+        if (fetchFrozen_ && uops_.empty())
             break;
         stageRetire();
         if (haltRetired_)
@@ -1863,7 +1889,7 @@ Core::advance(std::uint64_t targetRetired, bool drain)
 void
 Core::checkpoint(CoreCheckpoint &out) const
 {
-    wisc_assert(rob_.empty() && fetchQueue_.empty(),
+    wisc_assert(uops_.empty(),
                 "checkpoint requires a drained pipeline (advance() with "
                 "drain, or a halted machine)");
     out.now = now_;

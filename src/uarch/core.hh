@@ -24,9 +24,14 @@
  * whose remaining producers are all complete move to a ready list that
  * issue drains oldest-first. The poll-based issue loop is retained
  * behind SimParams::pollScheduler purely as a verification reference.
- * µops live in fixed ring buffers, reference the immutable Program
- * image by pointer, and carry a bounded inline dependence array — the
- * per-cycle hot path performs no heap allocation.
+ * Each µop is one packed record in one ring slot from fetch to retire
+ * (common/ring.hh): the renamed prefix of the ring is the ROB and its
+ * tail the fetch queue, so rename writes in place and nothing is
+ * copied. Each stage writes the fields it owns; the record names its
+ * static instruction by pc in the immutable Program image and carries
+ * a bounded inline dependence array. The undo log is one flat ring
+ * too, so the per-cycle hot path performs no heap allocation once the
+ * log has grown to the in-flight window.
  *
  * The same core also fast-forwards functionally for sampled simulation
  * (fastForward()): the threaded engine runs over the core's own
@@ -80,105 +85,80 @@ enum class LoopOutcome : std::uint8_t
  *  array pow2-sized. Exceeding it is a hard error (wisc_assert). */
 inline constexpr unsigned kMaxDeps = 8;
 
-/** One in-flight µop. Flat (no heap-owning members): ring-buffer slots
- *  are reused in place and DynInst moves are plain field copies. */
-struct DynInst
+/**
+ * The part of an in-flight µop that fetch writes: identity, the
+ * execute-at-fetch result, and the front end's prediction. Fetch
+ * writes every field except ckpt, rasCkpt, predictedTarget and
+ * loopInstance, which processControl() writes for the control µops
+ * that read them; a non-control or dynamic-region µop never does.
+ * After fetch only the resolution outcome changes: mispredicted,
+ * loopOutcome and the dynamic-region verdict. The static instruction
+ * is the Program image's code_[pc].
+ *
+ * Fields are ordered widest first, so no flag sits between two 8-byte
+ * fields.
+ */
+struct FetchedUop
 {
-    SeqNum seq = 0;
     /** Unique id, never reused (seq numbers are reused after a flush);
-     *  completion events are validated against it. */
-    std::uint64_t uid = 0;
-    std::uint32_t pc = 0;
-    /** The static instruction, aliasing the immutable Program image. */
-    const Instruction *inst = nullptr;
-    /** Predecoded PreFlag mask for *inst (computed once per static
+     *  completion events are validated against it. A select half gets
+     *  its own at rename. */
+    std::uint64_t uid;
+    Cycle fetchCycle; ///< rename waits until fetchCycle + front-end delay
+    Addr memAddr;     ///< effective address (valid iff memSize != 0)
+    /** Undo-log mark just after this µop's effects: a flush at this µop
+     *  rolls back to it, retirement commits up to it. A compute half
+     *  takes the mark before execution: its select half owns the
+     *  effects. */
+    UndoLog::Mark undoEnd;
+
+    BpredCheckpoint ckpt;  ///< predictor state at fetch (control µops)
+    RasCheckpoint rasCkpt; ///< RAS state after fetch (control µops)
+    std::uint32_t pc;
+    std::uint32_t nextIndex; ///< functional successor
+    std::uint32_t predictedTarget;
+    std::uint32_t loopInstance; ///< wish-loop instance at fetch
+    /** Predecoded PreFlag mask of code_[pc] (computed once per static
      *  instruction per run, not per fetch). */
-    std::uint16_t pre = 0;
+    std::uint16_t pre;
     /** Predecoded non-memory execute latency (cycles). */
-    std::uint8_t exLat = 1;
+    std::uint8_t exLat;
+    std::uint8_t memSize; ///< 0 = no access, else 1 or 8 bytes
+    FrontEndMode fetchMode;
+    LoopOutcome loopOutcome;
+    /** Select-µop expansion: 0 = none, 1 = compute half, 2 = select
+     *  half (always the slot right after its compute half). */
+    std::uint8_t selectPart;
 
     // Functional (execute-at-fetch) results.
-    StepResult step;
-    UndoLog::Mark undoStart = 0;
-    UndoLog::Mark undoEnd = 0;
+    bool qpTrue;     ///< value of the qualifying predicate
+    bool taken;      ///< control transfer taken
+    bool halted;     ///< a Halt with TRUE qp executed
+    bool memSkipped; ///< predicated-off memory µop: no access
 
-    // Branch prediction state.
-    bool predictorTaken = false; ///< raw predictor output
-    bool predictedTaken = false; ///< effective front-end direction
-    std::uint32_t predictedTarget = 0;
-    bool highConf = false;
-    FrontEndMode fetchMode = FrontEndMode::Normal;
-    BpredCheckpoint ckpt;
-    RasCheckpoint rasCkpt;
-    LoopOutcome loopOutcome = LoopOutcome::NotApplicable;
-    std::uint32_t loopInstance = 0; ///< wish-loop instance at fetch
-    bool mispredicted = false; ///< raw prediction was wrong (stats)
+    bool predictorTaken; ///< raw predictor output
+    bool predictedTaken; ///< effective front-end direction
+    bool highConf;
+    bool mispredicted; ///< raw prediction was wrong (stats)
 
-    // Select-µop expansion: 1 = compute half, 2 = select half.
-    std::uint8_t selectPart = 0;
+    // Predicate prediction captured at fetch (§3.5.3 buffer hit).
+    bool hasPredQp;
+    bool predQpVal;
 
     // Dynamic predication (DynPredMode::MergePoint).
     /** Low-confidence normal branch that opened a dynamically
      *  predicated region (the hardware analog of a wish jump). */
-    bool dynPredTrigger = false;
+    bool dynPredTrigger;
     /** Fetched inside a dynamically predicated region: guarded by the
      *  trigger, never redirects fetch, never flushes. */
-    bool dynRegion = false;
+    bool dynRegion;
     /** Region µop off the real path: retires as a predicated NOP. */
-    bool dynNullified = false;
+    bool dynNullified;
     /** Region fetch reached the merge point; dynPredFailed is valid. */
-    bool dynOutcomeKnown = false;
+    bool dynOutcomeKnown;
     /** Real control flow never reconverged at the predicted merge
      *  point: the trigger must flush like a plain misprediction. */
-    bool dynPredFailed = false;
-
-    // Predicate prediction captured at fetch (§3.5.3 buffer hit).
-    bool hasPredQp = false;
-    bool predQpVal = false;
-
-    // Dependence tracking: bounded inline producer list.
-    std::uint8_t numDeps = 0;
-    SeqNum deps[kMaxDeps] = {};
-    /** Bit i set iff deps[i] is predication-induced — the qualifying
-     *  predicate or the old destination value, exactly the dependences
-     *  the NO-DEPEND oracle removes. Feeds cycle attribution only. */
-    std::uint8_t predDepMask = 0;
-
-    // Wakeup state. A waiting µop is linked into exactly one producer's
-    // wait chain (the first still-outstanding producer); when that
-    // producer completes the consumer re-scans its remaining producers
-    // and either re-links or becomes ready. Links are seq numbers (0 =
-    // none) resolved through the dense ROB, and chains are repaired
-    // eagerly on squash, so they never contain dead entries.
-    SeqNum waitingOn = 0;  ///< producer this µop is linked under
-    /** The dependence this µop most recently waited under was
-     *  predication-induced, directly or transitively through the
-     *  producer it waited on (attribution head classification). */
-    bool lastWaitPred = false;
-    SeqNum chainPrev = 0;  ///< older neighbor (0 = chain head)
-    SeqNum chainNext = 0;  ///< next consumer in the same chain
-    SeqNum wakeHead = 0;   ///< head of this µop's own consumer chain
-
-    // Rename bookkeeping (undone newest-first on flush).
-    SeqNum prevRegProducer = 0;
-    RegIdx claimedReg = 0;
-    bool claimsReg = false;
-    SeqNum prevPredProducer[2] = {0, 0};
-    PredIdx claimedPred[2] = {kPredNone, kPredNone};
-
-    // Timing.
-    Cycle fetchCycle = 0;
-    Cycle renameReady = 0; ///< fetch cycle + front-end delay
-    bool inIQ = false;
-    bool issued = false;
-    bool completed = false;
-    bool l1Missed = false; ///< issued load missed in the L1D
-    Cycle completeCycle = 0;
-
-    // Memory.
-    bool memSkipped = false; ///< predicated-off: no access
-    Addr memAddr = 0;
-    std::uint8_t memSize = 0;
+    bool dynPredFailed;
 
     bool isCtrl() const { return pre & kPreCtrl; }
     bool isCondBr() const { return pre & kPreCondBr; }
@@ -190,6 +170,61 @@ struct DynInst
     bool readsRs1() const { return pre & kPreReadsRs1; }
     bool readsRs2() const { return pre & kPreReadsRs2; }
 };
+
+/**
+ * One in-flight µop: the fetched part plus what rename and the back
+ * end write. It lives in one UopRing slot from fetch to retire; rename
+ * writes the fields below in place. No default member initializers:
+ * ring slots are raw storage, and each stage writes the fields it owns
+ * before any reader can see them.
+ */
+struct DynInst : FetchedUop
+{
+    SeqNum seq;
+
+    // Dependence tracking: bounded inline producer list.
+    SeqNum deps[kMaxDeps];
+
+    // Wakeup state. A waiting µop is linked into exactly one producer's
+    // wait chain (the first still-outstanding producer); when that
+    // producer completes the consumer re-scans its remaining producers
+    // and either re-links or becomes ready. Links are seq numbers (0 =
+    // none) resolved through the dense ROB, and chains are repaired
+    // eagerly on squash, so they never contain dead entries. chainPrev
+    // and chainNext are valid only while waitingOn is set.
+    SeqNum waitingOn; ///< producer this µop is linked under
+    SeqNum chainPrev; ///< older neighbor (0 = chain head)
+    SeqNum chainNext; ///< next consumer in the same chain
+    SeqNum wakeHead;  ///< head of this µop's own consumer chain
+
+    // Rename bookkeeping (undone newest-first on flush); the previous
+    // producers are valid only for claimed destinations.
+    SeqNum prevRegProducer;
+    SeqNum prevPredProducer[2];
+
+    Cycle completeCycle; ///< valid once issued
+
+    std::uint8_t numDeps;
+    /** Bit i set iff deps[i] is predication-induced — the qualifying
+     *  predicate or the old destination value, exactly the dependences
+     *  the NO-DEPEND oracle removes. Feeds cycle attribution only. */
+    std::uint8_t predDepMask;
+    RegIdx claimedReg;
+    PredIdx claimedPred[2];
+    bool claimsReg;
+    bool inIQ;
+    bool issued;
+    bool completed;
+    bool l1Missed; ///< issued load missed in the L1D
+    /** The dependence this µop most recently waited under was
+     *  predication-induced, directly or transitively through the
+     *  producer it waited on (attribution head classification). */
+    bool lastWaitPred;
+};
+
+/** The packed size: every fetched µop writes its slot and the ROB walks
+ *  them, so a field that grows the record must be argued for. */
+static_assert(sizeof(DynInst) == 256, "DynInst is no longer 256 bytes");
 
 /** Summary of one simulation run. */
 struct SimResult
@@ -324,7 +359,17 @@ class Core
     void ioWarmState(StateIO &io, bool attribShadow);
 
     // Helpers.
-    void fetchOne(std::uint32_t idx);
+    /** The static instruction of a µop, in the immutable Program image. */
+    const Instruction &
+    instOf(const FetchedUop &u) const
+    {
+        return code_[u.pc];
+    }
+    /** Fetch the µop at idx into the ring, with its select half's slot
+     *  right after it when it expands (selectPart 1). */
+    DynInst &fetchOne(std::uint32_t idx);
+    /** Rename the oldest unrenamed µop, di, in place. */
+    void renameOne(DynInst &di);
     void resolveBranch(DynInst &di);
     void flushAfter(const DynInst &branch, std::uint32_t redirectPc,
                     FlushCause cause);
@@ -335,11 +380,12 @@ class Core
     bool producerDone(SeqNum seq) const;
     void claimProducers(DynInst &di);
     unsigned loadLatency(const DynInst &di);
-    void retireWishStats(const DynInst &di);
+    void retireWishStats(const FetchedUop &di);
 
     // Front-end and retire rules, shared by the cycle loop and
     // fastForward(). Defined always-inline in core.cc: each runs once
-    // per fetched (or fast-forwarded) instruction or control µop.
+    // per fetched (or fast-forwarded) instruction or control µop, and
+    // reads and writes only the fetched part of the record.
     /** Fetch bubble a fetched control µop asks for. */
     enum class FetchStall : std::uint8_t
     {
@@ -348,16 +394,16 @@ class Core
         BtbMiss, ///< predicted-taken direct transfer missed the BTB
     };
     void decodeWish(std::uint32_t idx);
-    FetchStall processControl(DynInst &di);
-    std::optional<FlushCause> resolveCondBranch(DynInst &di);
-    void repairFrontEnd(const DynInst &branch);
-    void retireControl(const DynInst &di);
+    FetchStall processControl(FetchedUop &di);
+    std::optional<FlushCause> resolveCondBranch(FetchedUop &di);
+    void repairFrontEnd(const FetchedUop &branch);
+    void retireControl(const FetchedUop &di);
 
     // fastForward() only.
     struct FastForwardHooks; ///< threadedRun() observer
-    bool warmControl(DynInst &di, std::uint32_t pc, bool taken,
+    bool warmControl(FetchedUop &di, std::uint32_t pc, bool taken,
                      std::uint32_t nextPc);
-    void warmPredicatedBlock(DynInst &di, std::uint32_t branchPc);
+    void warmPredicatedBlock(FetchedUop &di, std::uint32_t branchPc);
 
     // Event-driven wakeup.
     void scheduleOrReady(DynInst &di);     ///< link under a producer or ready
@@ -437,12 +483,15 @@ class Core
     /** Draining toward a checkpoint boundary: fetch is frozen so the
      *  in-flight window retires and the pipeline empties. */
     bool fetchFrozen_ = false;
-    RingBuffer<DynInst> fetchQueue_;
+    /** Fetch-queue capacity and occupancy, in fetched µops: a select
+     *  half's reserved slot does not count. */
     unsigned fetchQueueCap_ = 0;
+    unsigned fetchedUops_ = 0;
 
-    // Back end. rob_ holds renamed in-flight µops in order; seq numbers
-    // are dense (rob_[i].seq == rob_.front().seq + i).
-    RingBuffer<DynInst> rob_;
+    /** Every in-flight µop in fetch order. The renamed prefix is the
+     *  ROB, with dense seq numbers (uops_[i].seq == uops_.front().seq +
+     *  i); the unrenamed tail is the fetch queue. */
+    UopRing<DynInst> uops_;
     SeqNum nextSeq_ = 1;
     std::uint64_t nextUid_ = 1;
     /** Scheduler occupancy (µops renamed but not yet completed); the

@@ -131,10 +131,11 @@ TEST_P(PostdomProperty, MatchesBruteForce)
         // strict postdominator of b.
         std::set<BlockId> ofIpdom = brutePostdoms(fn, ipdom[b]);
         for (BlockId d : strict) {
-            if (d != ipdom[b])
+            if (d != ipdom[b]) {
                 EXPECT_TRUE(ofIpdom.count(d))
                     << "block " << b << ": " << d
                     << " should postdominate ipdom " << ipdom[b];
+            }
         }
     }
 }

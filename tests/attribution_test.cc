@@ -195,8 +195,9 @@ TEST(ProbeApi, AttributionAddsStatsWithoutPerturbingAny)
     }
     // And the additions are exactly the attrib.* counters.
     for (const auto &kv : attr.stats)
-        if (!plain.stats.count(kv.first))
+        if (!plain.stats.count(kv.first)) {
             EXPECT_EQ(kv.first.rfind("attrib.", 0), 0u) << kv.first;
+        }
 }
 
 } // namespace

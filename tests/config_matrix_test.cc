@@ -128,9 +128,10 @@ TEST(ConfigOracle, WishBinariesRunUnderEveryOracle)
         RunOutcome r = run(
             programFor(w, BinaryVariant::WishJumpJoinLoop, InputSet::A), p);
         EXPECT_TRUE(r.result.halted) << "oracle knob " << knob;
-        if (knob == 0)
+        if (knob == 0) {
             EXPECT_EQ(r.stat("core.flushes"), 0u)
                 << "perfect CBP never flushes";
+        }
     }
 }
 

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "arch/emulator.hh"
 #include "common/log.hh"
 #include "common/stats.hh"
@@ -56,25 +58,27 @@ TEST(CoreTest, UnrunnableMachineFailsAtConstruction)
 {
     struct Case
     {
-        const char *what;
+        const char *field; ///< what the error must name
         void (*set)(SimParams &);
     };
     const Case cases[] = {
-        {"decodeWidth 0", [](SimParams &p) { p.decodeWidth = 0; }},
-        {"issueWidth 0", [](SimParams &p) { p.issueWidth = 0; }},
-        {"retireWidth 0", [](SimParams &p) { p.retireWidth = 0; }},
-        {"iqSize 0", [](SimParams &p) { p.iqSize = 0; }},
-        {"memPortsPerCycle 0", [](SimParams &p) { p.memPortsPerCycle = 0; }},
-        {"maxOutstandingMisses 0",
+        {"robSize", [](SimParams &p) { p.robSize = 0; }},
+        {"fetchWidth", [](SimParams &p) { p.fetchWidth = 0; }},
+        {"decodeWidth", [](SimParams &p) { p.decodeWidth = 0; }},
+        {"issueWidth", [](SimParams &p) { p.issueWidth = 0; }},
+        {"retireWidth", [](SimParams &p) { p.retireWidth = 0; }},
+        {"iqSize", [](SimParams &p) { p.iqSize = 0; }},
+        {"memPortsPerCycle", [](SimParams &p) { p.memPortsPerCycle = 0; }},
+        {"maxOutstandingMisses",
          [](SimParams &p) { p.maxOutstandingMisses = 0; }},
-        {"maxCondBrPerFetch 0",
-         [](SimParams &p) { p.maxCondBrPerFetch = 0; }},
-        {"select-uop robSize 1",
+        {"maxCondBrPerFetch", [](SimParams &p) { p.maxCondBrPerFetch = 0; }},
+        // A select-µop pair needs two ROB and two IQ entries.
+        {"robSize",
          [](SimParams &p) {
              p.predMech = PredMechanism::SelectUop;
              p.robSize = 1;
          }},
-        {"select-uop iqSize 1",
+        {"iqSize",
          [](SimParams &p) {
              p.predMech = PredMechanism::SelectUop;
              p.iqSize = 1;
@@ -84,7 +88,15 @@ TEST(CoreTest, UnrunnableMachineFailsAtConstruction)
         SimParams p;
         c.set(p);
         StatSet stats;
-        EXPECT_THROW(Core core(p, stats), FatalError) << c.what;
+        try {
+            Core core(p, stats);
+            ADD_FAILURE() << c.field << ": the machine was constructed";
+        } catch (const FatalError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(std::string("SimParams::") + c.field),
+                      std::string::npos)
+                << c.field << ": " << msg;
+        }
     }
 }
 

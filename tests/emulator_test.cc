@@ -5,6 +5,8 @@
  * functional emulator with profiling.
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "arch/emulator.hh"
@@ -107,6 +109,117 @@ TEST(UndoLogTest, CommitKeepsMarksValid)
     log.rollbackTo(m2, s);
     EXPECT_EQ(s.readReg(6), 3);
     EXPECT_EQ(log.size(), 1u); // the uncommitted reg-5 entry remains
+}
+
+TEST(UndoLogTest, SizeCountsOnlyLiveEntries)
+{
+    ArchState s;
+    UndoLog log;
+    EXPECT_EQ(log.size(), 0u);
+    UndoLog::Mark marks[11];
+    for (int i = 0; i < 10; ++i) {
+        marks[i] = log.mark();
+        log.recordReg(5, i);
+    }
+    marks[10] = log.mark();
+    EXPECT_EQ(log.size(), 10u);
+
+    log.commitTo(marks[4]); // four retire
+    EXPECT_EQ(log.size(), 6u);
+    log.rollbackTo(marks[7], s); // three are squashed
+    EXPECT_EQ(log.size(), 3u);
+    EXPECT_EQ(s.readReg(5), 7);
+    log.commitTo(marks[2]); // already committed: no change
+    EXPECT_EQ(log.size(), 3u);
+    log.commitTo(log.mark());
+    EXPECT_EQ(log.size(), 0u);
+
+    // Storage grows past the live count and never shrinks; size() still
+    // counts only what is live.
+    for (int i = 0; i < 1000; ++i)
+        log.recordPred(3, i % 2 != 0);
+    log.commitTo(log.mark() - 1);
+    EXPECT_EQ(log.size(), 1u);
+}
+
+/** Drives an UndoLog as the core does: each "µop" records a register,
+ *  a predicate, a word and a byte, and the oldest retires (commits)
+ *  once more than 'window' are in flight. */
+struct WindowedLog
+{
+    ArchState s;
+    UndoLog log;
+    std::vector<UndoLog::Mark> ends; ///< end mark of every µop so far
+    std::size_t retired = 0;
+
+    void
+    step(int i, std::size_t window)
+    {
+        log.recordReg(5, s.readReg(5));
+        s.writeReg(5, i);
+        log.recordPred(3, s.readPred(3));
+        s.writePred(3, i % 2 != 0);
+        log.recordMem(0x8000, 8, s.mem().readWord(0x8000));
+        s.mem().writeWord(0x8000, static_cast<UWord>(i) * 3);
+        log.recordMem(0x9001, 1, s.mem().readByte(0x9001));
+        s.mem().writeByte(0x9001, static_cast<std::uint8_t>(i));
+        ends.push_back(log.mark());
+        while (ends.size() - retired > window)
+            log.commitTo(ends[retired++]);
+    }
+
+    void
+    expectStateOf(int i)
+    {
+        EXPECT_EQ(s.readReg(5), i);
+        EXPECT_EQ(s.readPred(3), i % 2 != 0);
+        EXPECT_EQ(s.mem().readWord(0x8000), static_cast<UWord>(i) * 3);
+        EXPECT_EQ(s.mem().readByte(0x9001), static_cast<std::uint8_t>(i));
+    }
+};
+
+TEST(UndoLogTest, MarksStayValidAcrossThousandsOfCommits)
+{
+    // Far more entries pass through than are ever live, so the storage
+    // is reused many times over.
+    WindowedLog d;
+    for (int i = 0; i < 5000; ++i)
+        d.step(i, 16);
+    EXPECT_EQ(d.retired, 5000u - 16u);
+    EXPECT_EQ(d.log.size(), 16u * 4u); // only the in-flight window
+
+    // The oldest in-flight µop's mark was taken before the last
+    // thousands of commits; rolling back to it undoes the 15 younger.
+    d.log.rollbackTo(d.ends[d.retired], d.s);
+    d.expectStateOf(static_cast<int>(d.retired));
+    EXPECT_EQ(d.log.size(), 4u);
+}
+
+TEST(UndoLogTest, RollbackAcrossAGrowthRestoresEveryKind)
+{
+    // Retire a prefix so the live entries start mid-storage, then let
+    // the window grow to thousands of µops, so the storage grows while
+    // its live part is offset from the start.
+    WindowedLog d;
+    for (int i = 0; i < 100; ++i)
+        d.step(i, 5);
+    for (int i = 100; i < 3000; ++i)
+        d.step(i, 3000);
+    EXPECT_EQ(d.log.size(), (3000u - d.retired) * 4u);
+
+    const std::size_t target = d.retired + 7; // µop 102
+    d.log.rollbackTo(d.ends[target], d.s);
+    d.expectStateOf(static_cast<int>(target));
+    EXPECT_EQ(d.log.size(), (target + 1 - d.retired) * 4u);
+
+    // The log keeps working after the rollback: record, commit, roll
+    // back again.
+    d.ends.resize(target + 1);
+    for (int i = 5000; i < 5010; ++i)
+        d.step(i, 3);
+    d.log.rollbackTo(d.ends[d.retired], d.s);
+    d.expectStateOf(5007);
+    EXPECT_EQ(d.log.size(), 4u);
 }
 
 TEST(ExecutorTest, PredicatedOffIsNop)

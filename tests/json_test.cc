@@ -3,16 +3,19 @@
  * Tests for the JSON document model and the harness result emitter:
  * value semantics, writer/parser round-trips, and the BENCH_*.json
  * schema (counters, histograms, and the normalized matrix survive a
- * round-trip exactly).
+ * round-trip exactly; every document names the build that wrote it).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "common/json.hh"
 #include "common/log.hh"
+#include "harness/bench_cli.hh"
 #include "harness/json_writer.hh"
 #include "json_parse.hh"
 
@@ -145,6 +148,27 @@ TEST(JsonWriterTest, RunOutcomeSchemaRoundTrips)
     // Table-free runs must not grow a "tables" key (document schema
     // stays byte-compatible with pre-attribution emitters).
     EXPECT_EQ(back.find("tables"), nullptr);
+}
+
+TEST(JsonWriterTest, BenchDocumentRecordsItsProvenance)
+{
+    const std::string path = testing::TempDir() + "provenance.json";
+    BenchCli cli("provenance_probe");
+    ASSERT_EQ(cli.finish(path), 0);
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    json::Value back = json::parse(text.str());
+
+    // The values CMake configured this build with (tests/CMakeLists.txt
+    // passes them in), read back from the written file.
+    const json::Value &p = back.at("provenance");
+    EXPECT_EQ(p.size(), 4u);
+    EXPECT_EQ(p.at("build_type").asString(), WISC_EXPECT_BUILD_TYPE);
+    EXPECT_EQ(p.at("compiler").asString(), WISC_EXPECT_COMPILER);
+    EXPECT_EQ(p.at("sanitizer").asString(),
+              *WISC_EXPECT_SANITIZER ? WISC_EXPECT_SANITIZER : "none");
+    EXPECT_EQ(p.at("nproc").asUint(), std::thread::hardware_concurrency());
 }
 
 TEST(JsonWriterTest, RunOutcomeTablesSectionRoundTrips)
