@@ -1,12 +1,15 @@
 /**
  * @file
  * Golden-stat regression test: replays the fixed goldenRuns() matrix
- * (one run per binary type plus select-µop and small-window machines)
- * and compares the FULL StatSet — every counter and every histogram
- * bucket — against values captured from the seed (poll-scheduler) core.
- * This is the proof that the event-driven wakeup scheduler and the
- * allocation-free DynInst layout are cycle-identical, not just
- * approximately right.
+ * (one run per binary type plus select-µop and small-window machines,
+ * sampled rows and oracle rows) and compares the FULL StatSet — every
+ * counter, every histogram bucket and every stat-table row — against
+ * values captured from the seed (poll-scheduler) core. This is the
+ * proof that the event-driven wakeup scheduler and the allocation-free
+ * DynInst layout are cycle-identical, not just approximately right.
+ * Each non-sampled row also runs once more with a ProbeDigest attached:
+ * that run must keep every statistic and reproduce the pinned digest of
+ * the probe stream, so what observers see is pinned too.
  *
  * If a timing-model change is *intentional*, regenerate the baseline:
  *   build/tests/golden_stats_gen > tests/golden_stats_data.inc
@@ -34,12 +37,29 @@ struct GoldenHist
     std::vector<unsigned long long> buckets;
 };
 
+struct GoldenTableRow
+{
+    unsigned long long key;
+    std::vector<unsigned long long> cols;
+};
+
+struct GoldenTable
+{
+    const char *name;
+    std::vector<const char *> columns;
+    std::vector<GoldenTableRow> rows;
+};
+
 struct GoldenRun
 {
     const char *label;
     unsigned long long result[4]; ///< cycles, uops, resultReg, memFp
     std::vector<GoldenCounter> counters;
     std::vector<GoldenHist> hists;
+    std::vector<GoldenTable> tables;
+    /** Digest of the probe stream (probe_digest.hh); 0 for a sampled
+     *  row, which drives no sinks. */
+    unsigned long long probeDigest;
 };
 
 #include "golden_stats_data.inc"
@@ -77,8 +97,8 @@ TEST_P(GoldenStats, FullStatSetBitIdentical)
     if (it == compiled.end())
         it = compiled.emplace(spec.workload,
                               compileWorkload(spec.workload)).first;
-    RunOutcome o = run(
-        programFor(it->second, spec.variant, spec.input), spec.params);
+    const Program prog = programFor(it->second, spec.variant, spec.input);
+    RunOutcome o = run(prog, spec.params);
 
     EXPECT_EQ(o.result.cycles, g.result[0]);
     EXPECT_EQ(o.result.retiredUops, g.result[1]);
@@ -108,6 +128,38 @@ TEST_P(GoldenStats, FullStatSetBitIdentical)
                 << name << " bucket " << b;
         ++i;
     }
+
+    // Tables: same set, same columns, same rows.
+    ASSERT_EQ(o.tables.size(), g.tables.size());
+    i = 0;
+    for (const auto &[name, t] : o.tables) {
+        const GoldenTable &gt = g.tables[i++];
+        EXPECT_EQ(name, gt.name);
+        ASSERT_EQ(t.columns().size(), gt.columns.size()) << name;
+        for (std::size_t c = 0; c < gt.columns.size(); ++c)
+            EXPECT_EQ(t.columns()[c], gt.columns[c]) << name;
+        ASSERT_EQ(t.numRows(), gt.rows.size()) << name;
+        std::size_t r = 0;
+        for (const auto &[key, row] : t.rows()) {
+            EXPECT_EQ(key, gt.rows[r].key) << name;
+            EXPECT_EQ(row, std::vector<std::uint64_t>(gt.rows[r].cols.begin(),
+                                                      gt.rows[r].cols.end()))
+                << name << " row " << key;
+            ++r;
+        }
+    }
+
+    // The probe stream: a second run with the digest sink attached must
+    // keep every statistic and emit the pinned stream.
+    if (!hasProbeDigest(spec)) {
+        EXPECT_EQ(g.probeDigest, 0u);
+        return;
+    }
+    std::uint64_t digest = 0;
+    RunOutcome observed = digestRun(prog, spec, digest);
+    EXPECT_TRUE(sameStats(observed, o))
+        << "the digest sink perturbed the run";
+    EXPECT_EQ(digest, g.probeDigest) << "probe stream changed";
 }
 
 } // namespace

@@ -311,6 +311,9 @@ TEST(FingerprintTest, KnownMachinesKeepTheirKeys)
         {"golden wish-jjl-win128", 0xfacaa056aef6fa62ull},
         {"golden sampled-attrib", 0xb8dea4d7f230c91cull},
         {"golden sampled-tage", 0x30defd2bfef1a212ull},
+        {"golden base-max-nodep-nofetch", 0x4215f057a3b5341aull},
+        {"golden wish-jj-mergepoint-profile", 0x963f220dd2af3c57ull},
+        {"golden wish-jj-perfectcbp-profile", 0xc65e9e76f1df1f47ull},
         {"fuzz default-attrib", 0x540187d4e2348260ull},
         {"fuzz small-poll", 0x2c9e274d99e4883dull},
         {"fuzz tiny-conf-shallow", 0x8594ff984fe9f6c5ull},
