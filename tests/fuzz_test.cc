@@ -325,6 +325,42 @@ TEST(FuzzCampaign, SmokeMatrixRunsClean)
     EXPECT_GT(rep.coreRuns, 0u);
 }
 
+TEST(FuzzCampaign, OracleMachinesMatchTheEmulator)
+{
+    // The oracle knobs change what the core fetches, waits for and
+    // predicts, never what it computes: NO-FETCH drops predicated-FALSE
+    // µops from the pipe after fetch executed them, and the perfect
+    // predictor and estimator only steer the front end. Each point is
+    // the smoke matrix's first (final-state check off, bounded cycles,
+    // attribution on) with one oracle machine on top.
+    const SimParams base = defaultParamsMatrix(true).front().params;
+    SimParams noDepNoFetch = base;
+    noDepNoFetch.oracle.noDepend = true;
+    noDepNoFetch.oracle.noFetch = true;
+    SimParams selectNoFetch = base;
+    selectNoFetch.predMech = PredMechanism::SelectUop;
+    selectNoFetch.oracle.noFetch = true;
+    SimParams perfectCbp = base;
+    perfectCbp.oracle.perfectCBP = true;
+    SimParams perfectConf = base;
+    perfectConf.oracle.perfectConfidence = true;
+
+    FuzzOptions opts;
+    opts.seed = 11;
+    opts.runs = 20;
+    opts.matrix = {
+        {"nodep-nofetch-attrib", noDepNoFetch},
+        {"select-uop-nofetch", selectNoFetch},
+        {"perfect-cbp", perfectCbp},
+        {"perfect-conf", perfectConf},
+    };
+    FuzzReport rep = fuzzCampaign(opts);
+    EXPECT_TRUE(rep.ok()) << (rep.ok() ? "" : rep.failures[0].detail);
+    EXPECT_EQ(rep.programs, 20u);
+    EXPECT_EQ(rep.coreRuns,
+              (rep.programs - rep.compileRejects) * 5u * 4u);
+}
+
 TEST(FuzzCampaign, ReproducerFormatReplays)
 {
     IrFunction fn = generateProgram(9);
