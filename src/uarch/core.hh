@@ -33,6 +33,15 @@
  * too, so the per-cycle hot path performs no heap allocation once the
  * log has grown to the in-flight window.
  *
+ * Each per-µop rule is stated once, in the stage where its inputs
+ * first exist: fetch decides whether a µop accesses memory (noMemAccess),
+ * whether Figure 2's NO-FETCH oracle drops it (fetchOne()) and whether
+ * it splits into a select-µop pair; usesConfidence() decides whether a
+ * branch consults the confidence estimator, for the estimate, the
+ * training and the retire probe alike; computeDeps() states each
+ * operand role once and lets each predication shape pick among them;
+ * and one pointer (dynTrigger_) names an open dynamic region's trigger.
+ *
  * The same core also fast-forwards functionally for sampled simulation
  * (fastForward()): the threaded engine runs over the core's own
  * architectural state, and each branch or control transfer goes
@@ -123,7 +132,7 @@ struct FetchedUop
     std::uint16_t pre;
     /** Predecoded non-memory execute latency (cycles). */
     std::uint8_t exLat;
-    std::uint8_t memSize; ///< 0 = no access, else 1 or 8 bytes
+    std::uint8_t memSize; ///< bytes execute-at-fetch accessed: 0, 1 or 8
     FrontEndMode fetchMode;
     LoopOutcome loopOutcome;
     /** Select-µop expansion: 0 = none, 1 = compute half, 2 = select
@@ -131,10 +140,13 @@ struct FetchedUop
     std::uint8_t selectPart;
 
     // Functional (execute-at-fetch) results.
-    bool qpTrue;     ///< value of the qualifying predicate
-    bool taken;      ///< control transfer taken
-    bool halted;     ///< a Halt with TRUE qp executed
-    bool memSkipped; ///< predicated-off memory µop: no access
+    bool qpTrue; ///< value of the qualifying predicate
+    bool taken;  ///< control transfer taken
+    bool halted; ///< a Halt with TRUE qp executed
+    /** A load or store that makes no memory access: it is predicated
+     *  off, or it is the select half of a split load, whose compute
+     *  half makes the access. Decided at fetch. */
+    bool noMemAccess;
 
     bool predictorTaken; ///< raw predictor output
     bool predictedTaken; ///< effective front-end direction
@@ -366,8 +378,10 @@ class Core
         return code_[u.pc];
     }
     /** Fetch the µop at idx into the ring, with its select half's slot
-     *  right after it when it expands (selectPart 1). */
-    DynInst &fetchOne(std::uint32_t idx);
+     *  right after it when it expands (selectPart 1). Null when the
+     *  NO-FETCH oracle drops it: fetch executed it, and it takes no
+     *  fetch slot, ring slot or probe. */
+    DynInst *fetchOne(std::uint32_t idx);
     /** Rename the oldest unrenamed µop, di, in place. */
     void renameOne(DynInst &di);
     void resolveBranch(DynInst &di);
@@ -394,6 +408,18 @@ class Core
         BtbMiss, ///< predicted-taken direct transfer missed the BTB
     };
     void decodeWish(std::uint32_t idx);
+    /** §3.5.5: a conditional branch outside a merge-point region
+     *  consults the confidence estimator when it is a wish branch on a
+     *  wish machine, or whenever dynamic predication is on. Fetch asks
+     *  the estimate (unless PERFECT-CBP makes the prediction certain),
+     *  retire trains it, and the retire probe reports it. */
+    bool
+    usesConfidence(const FetchedUop &di) const
+    {
+        return di.isCondBr() && !di.dynRegion &&
+               ((params_.wishEnabled && instOf(di).wish != WishKind::None) ||
+                params_.dynPred != DynPredMode::Off);
+    }
     FetchStall processControl(FetchedUop &di);
     std::optional<FlushCause> resolveCondBranch(FetchedUop &di);
     void repairFrontEnd(const FetchedUop &branch);
@@ -461,12 +487,14 @@ class Core
     bool dynActive_ = false;
     std::uint32_t dynRegionEnd_ = 0;
     std::uint32_t dynRealPc_ = 0;
-    /** uid of the in-flight trigger, 0 = none. Only one region may be
-     *  outstanding (trigger fetched but not yet resolved/squashed). */
-    std::uint64_t dynOutstandingUid_ = 0;
-    /** The trigger's seq once renamed: region µops depend on it (the
-     *  trigger predicate guards the whole region). */
-    SeqNum dynTriggerSeq_ = 0;
+    /** The ring slot of the open region's trigger, null when none. Set
+     *  when the region opens, cleared when the trigger resolves or is
+     *  squashed; a slot does not move while its µop is in flight. Only
+     *  one region may be outstanding, and while one is being fetched
+     *  (dynActive_) its trigger is. Region µops that rename while their
+     *  trigger is outstanding depend on it (its predicate guards the
+     *  whole region). */
+    DynInst *dynTrigger_ = nullptr;
     /** Runtime region-size cap: user knob clamped so an in-flight
      *  region can always rename fully into the scheduler (the trigger
      *  cannot complete before the region finishes fetching, so a region

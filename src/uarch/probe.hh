@@ -76,10 +76,11 @@ struct RetireProbe
     bool predFalse = false;    ///< retired as a predicated-FALSE NOP
     bool isCondBr = false;     ///< a retired conditional branch
     bool mispredicted = false; ///< raw predictor direction was wrong
-    /** Confidence fields are valid for wish branches and, when dynamic
-     *  predication is on (SimParams::dynPred != Off), for normal
-     *  conditional branches outside hardware-predicated regions — the
-     *  branches the hardware runs through a confidence estimator. */
+    /** highConf holds an estimate the front end made: the branch is a
+     *  conditional branch outside a hardware-predicated region, it is a
+     *  wish branch on a wish machine or dynamic predication is on
+     *  (SimParams::dynPred != Off), and PERFECT-CBP did not make its
+     *  prediction certain (Core::usesConfidence()). */
     bool confValid = false;
     bool highConf = false;
     WishKind wishKind = WishKind::None;

@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "harness/runner.hh"
 #include "uarch/attribution.hh"
@@ -147,6 +149,138 @@ TEST(AttributionInvariant, BranchProfileMatchesAggregateCounters)
     EXPECT_EQ(mispred, r.require("core.branch_mispredicts"));
     EXPECT_GT(classified, 0u)
         << "wish branches must be confidence-classified";
+}
+
+/** Only the branches whose confidence the front end estimated are
+ *  booked in the profile's four confidence columns: every retired wish
+ *  branch on a wish machine; every conditional branch outside a
+ *  merge-point region once dynamic predication is on; and none under
+ *  PERFECT-CBP, which asks the estimator nothing. */
+TEST(AttributionInvariant, ProfileBooksOnlyTheEstimatesFetchMade)
+{
+    CompiledWorkload w = compileWorkload("vortex");
+    const Program prog =
+        programFor(w, BinaryVariant::WishJumpJoin, InputSet::A);
+    auto confSum = [](const RunOutcome &r) {
+        std::uint64_t sum = 0;
+        for (const auto &row :
+             r.require<StatTable>("core.branch_profile").rows())
+            sum += row.second[kBpHiCorrect] + row.second[kBpHiWrong] +
+                   row.second[kBpLoCorrect] + row.second[kBpLoWrong];
+        return sum;
+    };
+    auto profiled = [&](SimParams p) {
+        p.collectBranchProfile = true;
+        return captureRun(prog, p);
+    };
+
+    // dynPred Off: the retired wish branches, one outcome counter each.
+    RunOutcome off = profiled(SimParams{});
+    std::uint64_t wishRetired = 0;
+    for (const auto &[name, value] : off.stats)
+        if (name.rfind("wish.jump.", 0) == 0 ||
+            name.rfind("wish.join.", 0) == 0 ||
+            name.rfind("wish.loop.", 0) == 0)
+            wishRetired += value;
+    EXPECT_GT(wishRetired, 0u);
+    EXPECT_EQ(confSum(off), wishRetired);
+
+    for (DynPredMode mode : {DynPredMode::FetchGate, DynPredMode::MergePoint}) {
+        SimParams p;
+        p.dynPred = mode;
+        RunOutcome r = profiled(p);
+        EXPECT_EQ(confSum(r), r.require("core.cond_branches"))
+            << (mode == DynPredMode::FetchGate ? "FetchGate" : "MergePoint");
+    }
+    SimParams merge;
+    merge.dynPred = DynPredMode::MergePoint;
+    EXPECT_GT(profiled(merge).require("dyn.region_uops"), 0u)
+        << "no merge-point region opened: the region rule goes untested";
+
+    SimParams perfect;
+    perfect.oracle.perfectCBP = true;
+    RunOutcome pr = profiled(perfect);
+    EXPECT_EQ(pr.require("conf.queries"), 0u);
+    EXPECT_EQ(confSum(pr), 0u);
+}
+
+/** Requires every fetch probe to be closed by exactly one retire or
+ *  squash probe, and nothing to be closed that was not fetched. Uids
+ *  are handed out densely from 1, so the state is a flat vector. */
+class FetchClosure : public ProbeSink
+{
+  public:
+    void
+    onFetch(const FetchProbe &p) override
+    {
+        if (p.uid >= state_.size())
+            state_.resize(p.uid + 1, kUnseen);
+        if (state_[p.uid] != kUnseen)
+            ++strays_;
+        state_[p.uid] = kOpen;
+    }
+    void onRetire(const RetireProbe &p) override { close(p.uid); }
+    void onSquash(const SquashProbe &p) override { close(p.uid); }
+
+    std::uint64_t
+    unclosed() const
+    {
+        std::uint64_t n = 0;
+        for (std::uint8_t s : state_)
+            n += s == kOpen;
+        return n;
+    }
+    /** Fetched twice, closed twice, or closed without a fetch. */
+    std::uint64_t strays() const { return strays_; }
+
+  private:
+    enum : std::uint8_t { kUnseen, kOpen, kClosed };
+
+    void
+    close(std::uint64_t uid)
+    {
+        if (uid < state_.size() && state_[uid] == kOpen)
+            state_[uid] = kClosed;
+        else
+            ++strays_;
+    }
+
+    std::vector<std::uint8_t> state_;
+    std::uint64_t strays_ = 0;
+};
+
+/** Every µop that enters the pipe leaves it once: through retirement or
+ *  a squash. Figure 2's NO-FETCH oracle drops a predicated-FALSE µop
+ *  before it enters, so such a µop emits no probe at all. */
+TEST(ProbeApi, EveryFetchProbeIsClosedOnce)
+{
+    CompiledWorkload w = compileWorkload("gzip");
+
+    SimParams select;
+    select.predMech = PredMechanism::SelectUop;
+    SimParams noFetch;
+    noFetch.oracle.noFetch = true;
+    SimParams selectNoFetch = select;
+    selectNoFetch.oracle.noFetch = true;
+    SimParams merge;
+    merge.dynPred = DynPredMode::MergePoint;
+    const std::pair<const char *, SimParams> machines[] = {
+        {"default", SimParams{}}, {"select-uop", select},
+        {"no-fetch", noFetch},    {"select-uop+no-fetch", selectNoFetch},
+        {"merge-point", merge},
+    };
+
+    for (BinaryVariant v :
+         {BinaryVariant::BaseMax, BinaryVariant::WishJumpJoinLoop}) {
+        const Program prog = programFor(w, v, InputSet::A);
+        for (const auto &[name, params] : machines) {
+            FetchClosure sink;
+            RunOutcome r = captureRun(prog, params, {&sink});
+            ASSERT_TRUE(r.result.halted) << name;
+            EXPECT_EQ(sink.unclosed(), 0u) << variantName(v) << " " << name;
+            EXPECT_EQ(sink.strays(), 0u) << variantName(v) << " " << name;
+        }
+    }
 }
 
 /** A sink with every handler defaulted must be behaviorally invisible:
