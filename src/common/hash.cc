@@ -1,17 +1,6 @@
 #include "common/hash.hh"
 
-#include <cstring>
-
 namespace wisc {
-
-void
-Hasher::f64(double v)
-{
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-}
 
 std::uint64_t
 hashBytes(const void *data, std::size_t n)

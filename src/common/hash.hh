@@ -52,11 +52,6 @@ class Hasher
     void b(bool v) { u64(v ? 1 : 0); }
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
-    /** Append a double by bit pattern (all fingerprinted doubles are
-     *  produced deterministically, so bit equality is the right
-     *  notion of "same configuration"). */
-    void f64(double v);
-
     /** Append a string: length prefix + contents, so ("ab","c") and
      *  ("a","bc") hash differently. */
     void

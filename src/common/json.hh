@@ -55,13 +55,6 @@ class Value
 
     Kind kind() const { return kind_; }
     bool isNull() const { return kind_ == Kind::Null; }
-    bool isNumber() const
-    {
-        return kind_ == Kind::Uint || kind_ == Kind::Int ||
-               kind_ == Kind::Double;
-    }
-    bool isArray() const { return kind_ == Kind::Array; }
-    bool isObject() const { return kind_ == Kind::Object; }
 
     // ---- scalar accessors (hard error on kind mismatch) ----
     bool asBool() const;

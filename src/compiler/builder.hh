@@ -41,7 +41,6 @@ class KernelBuilder
     void add(RegIdx rd, RegIdx a, RegIdx b) { op3(Opcode::Add, rd, a, b); }
     void sub(RegIdx rd, RegIdx a, RegIdx b) { op3(Opcode::Sub, rd, a, b); }
     void and_(RegIdx rd, RegIdx a, RegIdx b) { op3(Opcode::And, rd, a, b); }
-    void or_(RegIdx rd, RegIdx a, RegIdx b) { op3(Opcode::Or, rd, a, b); }
     void xor_(RegIdx rd, RegIdx a, RegIdx b) { op3(Opcode::Xor, rd, a, b); }
     void mul(RegIdx rd, RegIdx a, RegIdx b) { op3(Opcode::Mul, rd, a, b); }
     void div(RegIdx rd, RegIdx a, RegIdx b) { op3(Opcode::Div, rd, a, b); }
@@ -116,8 +115,6 @@ class KernelBuilder
 
     /** Direct access for advanced shapes the helpers do not cover. */
     IrFunction &fn() { return fn_; }
-    BlockId currentBlock() const { return cur_; }
-    void switchTo(BlockId b) { cur_ = b; }
 
   private:
     void notePred(PredIdx p);
