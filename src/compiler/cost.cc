@@ -52,10 +52,9 @@ estimateSequenceCycles(const std::vector<Instruction> &insts,
             start = std::max(start, regTime(inst.rs1));
         if (inst.readsRs2())
             start = std::max(start, regTime(inst.rs2));
-        if (inst.op == Opcode::PNot || inst.op == Opcode::PAnd ||
-            inst.op == Opcode::POr)
+        if (isPredOp(inst.op))
             start = std::max(start, predTime(inst.ps));
-        if (inst.op == Opcode::PAnd || inst.op == Opcode::POr)
+        if (opForm(inst.op) == OpForm::PPP)
             start = std::max(start, predTime(inst.ps2));
 
         double lat = instLatency(inst);

@@ -85,10 +85,12 @@ runSampled(const Program &prog, const SimParams &params)
     std::map<std::string, std::uint64_t> measDelta;
     std::map<std::string, std::uint64_t> attribDelta;
 
-    // One Core and one StatSet serve the prefix and every window:
-    // re-beginRun() fully resets machine state before each restore, and
-    // counter deltas are taken against per-window snapshots. This keeps
-    // the per-window fixed cost to the checkpoint restore itself
+    // One Core and one StatSet serve the prefix and every window.
+    // Re-beginRun() resets the pipeline and the architectural state but
+    // keeps the predictor, confidence, cache and wish tables: a window
+    // is correct only because its checkpoint restore then overwrites
+    // them. Counter deltas are taken against per-window snapshots. This
+    // keeps the per-window fixed cost to the checkpoint restore itself
     // instead of paying predictor-table and cache-array allocation per
     // window.
     StatSet ws;

@@ -63,7 +63,7 @@ namespace wisc {
 /** Column order of the core.branch_profile StatTable. */
 enum BranchProfileCol : std::size_t
 {
-    kBpCount = 0,   ///< dynamic retired executions
+    kBpCount = 0,   ///< retirements (see RetireProbe::isCondBr)
     kBpMispred,     ///< raw-predictor wrong at retire
     kBpHiCorrect,   ///< estimated high-confidence, predicted right
     kBpHiWrong,     ///< estimated high-confidence, predicted wrong

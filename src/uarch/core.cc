@@ -184,7 +184,7 @@ Core::emitRetire(const DynInst &di)
     p.pc = di.pc;
     p.cycle = now_;
     p.predFalse = !di.qpTrue;
-    p.isCondBr = di.isCondBr();
+    p.isCondBr = countedBranch(di);
     p.mispredicted = di.mispredicted;
     p.confValid = usesConfidence(di) && !params_.oracle.perfectCBP;
     p.highConf = di.highConf;
@@ -365,11 +365,14 @@ Core::computeDeps(DynInst &di)
     } else if (di.hasPredQp) {
         // §3.5.3: the qualifying predicate is predicted; the µop is
         // shaped as if the predicate were already resolved. Predicted
+        // TRUE, it reads what the NO-DEPEND TRUE shape reads; predicted
         // FALSE, it is a move of the old destination.
-        if (di.predQpVal)
+        if (di.predQpVal) {
             regSources();
-        else
+            predSources();
+        } else {
             oldDest();
+        }
     } else {
         // C-style conditional expression (§2.1): the µop reads its
         // sources and, when guarded, the predicate and the old
@@ -1442,7 +1445,7 @@ WISC_ALWAYS_INLINE void
 Core::retireControl(const FetchedUop &di)
 {
     const Instruction &si = instOf(di);
-    if (si.op == Opcode::Br && !di.dynRegion) {
+    if (countedBranch(di)) {
         ++*cCondBranches_;
         bpred_->train(di.pc, di.taken, di.ckpt);
         if (di.mispredicted)

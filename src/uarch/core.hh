@@ -36,11 +36,13 @@
  * Each per-µop rule is stated once, in the stage where its inputs
  * first exist: fetch decides whether a µop accesses memory (noMemAccess),
  * whether Figure 2's NO-FETCH oracle drops it (fetchOne()) and whether
- * it splits into a select-µop pair; usesConfidence() decides whether a
- * branch consults the confidence estimator, for the estimate, the
- * training and the retire probe alike; computeDeps() states each
- * operand role once and lets each predication shape pick among them;
- * and one pointer (dynTrigger_) names an open dynamic region's trigger.
+ * it splits into a select-µop pair; countedBranch() decides which
+ * branches the branch counters and the branch profile count, and
+ * usesConfidence() which of them consult the confidence estimator, for
+ * the estimate, the training and the retire probe alike; computeDeps()
+ * states each operand role once and lets each predication shape pick
+ * among them; and one pointer (dynTrigger_) names an open dynamic
+ * region's trigger.
  *
  * The same core also fast-forwards functionally for sampled simulation
  * (fastForward()): the threaded engine runs over the core's own
@@ -276,9 +278,13 @@ class Core
     //   checkpoint(out);           // optional, at a drained boundary
     //   SimResult r = finishRun(); // publish attribution, final checks
 
-    /** Predecode the program, reset every piece of machine state, warm
-     *  the text image, and attach the attribution engine if the params
-     *  ask for one. Pair with finishRun(). */
+    /** Predecode the program, reset the pipeline, the architectural
+     *  state and the merge-point table, warm the text image, and attach
+     *  the attribution engine if the params ask for one. Pair with
+     *  finishRun(). The predictor, confidence, BTB, RAS, ITC, wish
+     *  engine, cache tags and the undo log's entries are kept, so a
+     *  second beginRun() on one Core runs on warm tables unless a
+     *  checkpoint restore follows. */
     void beginRun(const Program &prog);
 
     /** As above, then restore the warm state in 'ckpt' (produced by
@@ -408,15 +414,24 @@ class Core
         BtbMiss, ///< predicted-taken direct transfer missed the BTB
     };
     void decodeWish(std::uint32_t idx);
-    /** §3.5.5: a conditional branch outside a merge-point region
-     *  consults the confidence estimator when it is a wish branch on a
-     *  wish machine, or whenever dynamic predication is on. Fetch asks
-     *  the estimate (unless PERFECT-CBP makes the prediction certain),
-     *  retire trains it, and the retire probe reports it. */
+    /** A conditional branch outside a merge-point region: retired, it
+     *  is what core.cond_branches counts and the branch profile's count
+     *  column books (RetireProbe::isCondBr). A region branch resolves
+     *  but neither predicts nor redirects fetch. */
+    static bool
+    countedBranch(const FetchedUop &di)
+    {
+        return di.isCondBr() && !di.dynRegion;
+    }
+    /** §3.5.5: a counted branch consults the confidence estimator when
+     *  it is a wish branch on a wish machine, or whenever dynamic
+     *  predication is on. Fetch asks the estimate (unless PERFECT-CBP
+     *  makes the prediction certain), retire trains it, and the retire
+     *  probe reports it. */
     bool
     usesConfidence(const FetchedUop &di) const
     {
-        return di.isCondBr() && !di.dynRegion &&
+        return countedBranch(di) &&
                ((params_.wishEnabled && instOf(di).wish != WishKind::None) ||
                 params_.dynPred != DynPredMode::Off);
     }

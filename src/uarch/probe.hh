@@ -74,7 +74,10 @@ struct RetireProbe
     std::uint32_t pc = 0;
     Cycle cycle = 0;
     bool predFalse = false;    ///< retired as a predicated-FALSE NOP
-    bool isCondBr = false;     ///< a retired conditional branch
+    /** A conditional branch outside a merge-point region
+     *  (Core::countedBranch()): what core.cond_branches counts and the
+     *  branch profile's count column books. */
+    bool isCondBr = false;
     bool mispredicted = false; ///< raw predictor direction was wrong
     /** highConf holds an estimate the front end made: the branch is a
      *  conditional branch outside a hardware-predicated region, it is a

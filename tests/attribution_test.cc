@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/runner.hh"
@@ -118,37 +119,69 @@ TEST(AttributionInvariant, CpiStackSumsToCyclesOnVariantMachines)
     EXPECT_EQ(r.require("attrib.flush_loop_noexit"), 0u);
 }
 
-/** The per-PC profile must agree with the aggregate counters: summing
- *  the table's count/mispred columns reproduces core.cond_branches and
- *  core.branch_mispredicts, and confidence-classified rows decompose
- *  into the four hi/lo × correct/wrong cells. */
-TEST(AttributionInvariant, BranchProfileMatchesAggregateCounters)
+/** Sums the profile's count and mispred columns against
+ *  core.cond_branches and core.branch_mispredicts, checks that no row's
+ *  confidence cells exceed its count, and returns the sum of those
+ *  cells. */
+std::uint64_t
+expectProfileMatchesCounters(const RunOutcome &r, const char *machine)
 {
-    CompiledWorkload w = compileWorkload("vpr");
-    RunOutcome r =
-        attributedRun(w, BinaryVariant::WishJumpJoinLoop, SimParams{});
-
-    ASSERT_TRUE(r.tables.count("core.branch_profile"));
-    const StatTable &t = r.tables.at("core.branch_profile");
-    ASSERT_EQ(t.columns().size(),
-              static_cast<std::size_t>(kBpNumCols));
-    EXPECT_FALSE(t.rows().empty());
+    const StatTable &t = r.require<StatTable>("core.branch_profile");
+    if (t.columns().size() != static_cast<std::size_t>(kBpNumCols)) {
+        ADD_FAILURE() << machine << ": " << t.columns().size()
+                      << " profile columns";
+        return 0;
+    }
+    EXPECT_FALSE(t.rows().empty()) << machine;
 
     std::uint64_t count = 0, mispred = 0, classified = 0;
     for (const auto &row : t.rows()) {
+        const std::uint64_t conf =
+            row.second[kBpHiCorrect] + row.second[kBpHiWrong] +
+            row.second[kBpLoCorrect] + row.second[kBpLoWrong];
         count += row.second[kBpCount];
         mispred += row.second[kBpMispred];
-        classified += row.second[kBpHiCorrect] + row.second[kBpHiWrong] +
-                      row.second[kBpLoCorrect] + row.second[kBpLoWrong];
-        // A row's confidence cells never exceed its total count.
-        EXPECT_LE(row.second[kBpHiCorrect] + row.second[kBpHiWrong] +
-                      row.second[kBpLoCorrect] + row.second[kBpLoWrong],
-                  row.second[kBpCount]);
+        classified += conf;
+        EXPECT_LE(conf, row.second[kBpCount]) << machine;
     }
-    EXPECT_EQ(count, r.require("core.cond_branches"));
-    EXPECT_EQ(mispred, r.require("core.branch_mispredicts"));
-    EXPECT_GT(classified, 0u)
+    EXPECT_EQ(count, r.require("core.cond_branches")) << machine;
+    EXPECT_EQ(mispred, r.require("core.branch_mispredicts")) << machine;
+    return classified;
+}
+
+/** The per-PC profile must agree with the aggregate counters on every
+ *  machine that builds one: the default machine (vpr), and vortex
+ *  wish-jj under FetchGate, MergePoint with its regions open, and
+ *  PERFECT-CBP. A merge-point region branch is counted in neither. */
+TEST(AttributionInvariant, BranchProfileMatchesAggregateCounters)
+{
+    CompiledWorkload vpr = compileWorkload("vpr");
+    RunOutcome def =
+        attributedRun(vpr, BinaryVariant::WishJumpJoinLoop, SimParams{});
+    EXPECT_GT(expectProfileMatchesCounters(def, "default"), 0u)
         << "wish branches must be confidence-classified";
+
+    CompiledWorkload vortex = compileWorkload("vortex");
+    const Program prog =
+        programFor(vortex, BinaryVariant::WishJumpJoin, InputSet::A);
+    SimParams gate;
+    gate.dynPred = DynPredMode::FetchGate;
+    SimParams merge;
+    merge.dynPred = DynPredMode::MergePoint;
+    SimParams perfect;
+    perfect.oracle.perfectCBP = true;
+    for (auto [p, machine] : {std::pair{gate, "FetchGate"},
+                              std::pair{merge, "MergePoint"},
+                              std::pair{perfect, "PERFECT-CBP"}}) {
+        p.collectBranchProfile = true;
+        RunOutcome r = captureRun(prog, p);
+        expectProfileMatchesCounters(r, machine);
+        if (p.dynPred == DynPredMode::MergePoint) {
+            EXPECT_GT(r.require("dyn.region_uops"), 0u)
+                << "no merge-point region opened: the region rule goes "
+                   "untested";
+        }
+    }
 }
 
 /** Only the branches whose confidence the front end estimated are

@@ -3,10 +3,14 @@
  * Detailed timing-model tests: MSHR limiting, the fetch group rules
  * (taken-branch stop, conditional-branch cap), select-µop expansion
  * accounting, NO-FETCH's treatment of unconditional compares, and the
- * predicate-dependency-elimination speedup in high-confidence mode.
+ * predicate-dependency-elimination speedup in high-confidence mode and
+ * the dependences it keeps.
  */
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <unordered_map>
 
 #include "compiler/builder.hh"
 #include "compiler/driver.hh"
@@ -174,6 +178,85 @@ TEST(CoreDetail, HighConfPredicatePredictionSpeedsDependents)
     SimResult rreal = run(wjj, SimParams{});
     EXPECT_LE(rreal.cycles, roff.cycles * 3 / 2);
     EXPECT_GE(rreal.cycles, rperf.cycles);
+}
+
+/** Counts the retired predicate combiners (pnot/pand/por) that issued
+ *  before a ps/ps2 producer completed. The producer is the last
+ *  retired writer of the source, read from the ISA operand roles, not
+ *  from rename's dependence list. */
+class PredSourceOrder : public ProbeSink
+{
+  public:
+    void onFetch(const FetchProbe &p) override { inst_[p.uid] = p.inst; }
+    void onIssue(const StageProbe &p) override { issue_[p.uid] = p.cycle; }
+    void
+    onComplete(const StageProbe &p) override
+    {
+        complete_[p.uid] = p.cycle;
+    }
+    void
+    onRetire(const RetireProbe &p) override
+    {
+        const Instruction &si = *inst_.at(p.uid);
+        if (isPredOp(si.op) && !p.predFalse) {
+            ++combiners;
+            const bool two = opForm(si.op) == OpForm::PPP;
+            for (PredIdx s : {si.ps, two ? si.ps2 : PredIdx{0}})
+                if (s != 0 && writer_[s] != 0 &&
+                    issue_.at(p.uid) < complete_.at(writer_[s]))
+                    ++early;
+        }
+        if (si.writesPred())
+            for (PredIdx d : {si.pd, si.pd2})
+                if (d != kPredNone)
+                    writer_[d] = p.uid;
+    }
+
+    std::uint64_t combiners = 0;
+    std::uint64_t early = 0;
+
+  private:
+    std::unordered_map<std::uint64_t, const Instruction *> inst_;
+    std::unordered_map<std::uint64_t, Cycle> issue_, complete_;
+    std::array<std::uint64_t, kNumPredRegs> writer_{};
+};
+
+TEST(CoreDetail, PredictedTrueCombinerWaitsForItsPredicateSources)
+{
+    // The compare records p2 as p1's complement. The wish jump is never
+    // taken, so with perfect confidence it is estimated high and arms
+    // the §3.5.3 buffer: p1 FALSE, p2 TRUE. Each (p2) combiner is then
+    // predicted TRUE, and must still wait for the compares it combines,
+    // which wait on a cold load.
+    Program p = assemble(R"(
+        li r12, 0x400000
+        li r10, 0
+        loop:
+        cmpi.lt p1, p2, r10, 0
+        wish.jump p1, skip
+        muli r30, r10, 4096
+        add r30, r30, r12
+        ld r20, r30, 0
+        cmpi.ge p3, p0, r20, 0
+        cmpi.lt p4, p0, r20, 1
+        (p2) pnot p5, p3
+        (p2) pand p6, p3, p4
+        (p2) por p7, p3, p4
+        skip:
+        addi r10, r10, 1
+        cmpi.lt p8, p0, r10, 64
+        br p8, loop
+        halt
+    )");
+    SimParams params;
+    params.oracle.perfectConfidence = true;
+    StatSet stats;
+    PredSourceOrder order;
+    SimResult r = simulate(p, params, stats, {&order});
+    ASSERT_TRUE(r.halted);
+    EXPECT_GT(stats.get("wish.jump.high.correct"), 0u);
+    EXPECT_EQ(order.combiners, 3u * 64);
+    EXPECT_EQ(order.early, 0u);
 }
 
 TEST(CoreDetail, FlushRestoresStoreOrdering)
