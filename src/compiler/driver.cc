@@ -181,9 +181,10 @@ compileAllVariants(const IrFunction &fn, const CompileOptions &opts)
     return out;
 }
 
-unsigned
-verifyVariantEquivalence(
-    const std::map<BinaryVariant, CompiledBinary> &variants)
+VariantCheck
+checkVariantEquivalence(
+    const std::map<BinaryVariant, CompiledBinary> &variants,
+    std::uint64_t maxSteps)
 {
     auto ref = variants.find(BinaryVariant::Normal);
     if (ref == variants.end()) {
@@ -193,41 +194,57 @@ verifyVariantEquivalence(
                 have += ", ";
             have += variantName(kv.first);
         }
-        wisc_fatal("verifyVariantEquivalence: the reference 'normal' "
+        wisc_fatal("checkVariantEquivalence: the reference 'normal' "
                    "variant is missing (have: ",
                    have.empty() ? "none" : have, ")");
     }
+    if (maxSteps == 0)
+        maxSteps = Emulator::kDefaultMaxSteps;
 
+    VariantCheck out;
+    auto fail = [&](const char *kind, const std::string &detail) {
+        out.kind = kind;
+        out.detail = detail;
+        return out;
+    };
     Emulator refEmu;
-    EmuResult refRes = refEmu.run(ref->second.program);
-    if (!refRes.halted)
-        wisc_fatal("verifyVariantEquivalence: the normal reference "
-                   "variant did not halt within ",
-                   refRes.dynInsts, " instructions; refusing to compare "
-                   "against a truncated fingerprint");
+    out.reference = refEmu.run(ref->second.program, nullptr, maxSteps);
+    ++out.checked;
+    if (!out.reference.halted)
+        return fail("nonhalt",
+                    detail::format("normal variant did not halt within ",
+                                   maxSteps, " steps"));
 
-    unsigned checked = 0;
     for (const auto &kv : variants) {
+        if (kv.first == BinaryVariant::Normal)
+            continue;
         Emulator emu;
-        EmuResult res = emu.run(kv.second.program);
+        EmuResult res = emu.run(kv.second.program, nullptr, maxSteps);
+        ++out.checked;
         if (!res.halted)
-            wisc_fatal(variantName(kv.first),
-                       " variant did not halt within ", res.dynInsts,
-                       " instructions (normal variant halted after ",
-                       refRes.dynInsts, ")");
-        if (res.resultReg != refRes.resultReg ||
-            res.memFingerprint != refRes.memFingerprint) {
-            // Name the first differing state word so a divergence is
-            // triageable (the fuzzer's shrinker keys off this too).
-            StateDiff d = firstStateDiff(refEmu.state(), emu.state());
-            wisc_fatal(variantName(kv.first),
-                       " variant diverged from normal: ", d.describe(),
-                       " (result ", res.resultReg, " vs ",
-                       refRes.resultReg, ")");
-        }
-        ++checked;
+            return fail("nonhalt",
+                        detail::format(variantName(kv.first),
+                                       " did not halt within ", maxSteps,
+                                       " steps (normal halted after ",
+                                       out.reference.dynInsts, ")"));
+        if (StateDiff d = firstStateDiff(refEmu.state(), emu.state()))
+            return fail("emu-diverge",
+                        detail::format(variantName(kv.first), ": ",
+                                       d.describe()));
     }
-    return checked;
+    return out;
+}
+
+unsigned
+verifyVariantEquivalence(
+    const std::map<BinaryVariant, CompiledBinary> &variants)
+{
+    VariantCheck c = checkVariantEquivalence(variants);
+    if (c.kind == "emu-diverge")
+        wisc_fatal("a variant diverged from normal: ", c.detail);
+    if (!c.ok())
+        wisc_fatal(c.detail);
+    return c.checked;
 }
 
 } // namespace wisc

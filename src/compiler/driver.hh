@@ -19,6 +19,7 @@
 #include <map>
 #include <string>
 
+#include "arch/emulator.hh"
 #include "compiler/cost.hh"
 #include "compiler/ifconvert.hh"
 #include "compiler/ir.hh"
@@ -106,12 +107,35 @@ CompiledBinary compileVariant(const IrFunction &fn, BinaryVariant v,
 std::map<BinaryVariant, CompiledBinary> compileAllVariants(
     const IrFunction &fn, const CompileOptions &opts = CompileOptions{});
 
+/** What checkVariantEquivalence() found. */
+struct VariantCheck
+{
+    /** Variants emulated, the failing one included. The normal
+     *  variant's reference run counts as that variant's check. */
+    unsigned checked = 0;
+    /** Empty when every variant halted and matched; otherwise "nonhalt"
+     *  or "emu-diverge". */
+    std::string kind;
+    std::string detail; ///< the failure, naming the variant
+    EmuResult reference; ///< the normal variant's run
+
+    bool ok() const { return kind.empty(); }
+};
+
 /**
- * Functional cross-check: run every compiled variant on the emulator and
- * verify that result register and memory fingerprint agree with the
- * normal variant. Fatal on mismatch (a compiler bug). Returns the number
- * of variants checked.
+ * Functional cross-check: run the normal variant, then every other
+ * variant, on the emulator within maxSteps (0 = the emulator's default
+ * budget), and compare each one's full architectural state (every
+ * integer register and memory word, firstStateDiff) with the normal
+ * variant's. Stops at the first variant that fails. Fatal if the
+ * normal variant is missing.
  */
+VariantCheck checkVariantEquivalence(
+    const std::map<BinaryVariant, CompiledBinary> &variants,
+    std::uint64_t maxSteps = 0);
+
+/** checkVariantEquivalence() with the default budget, fatal on any
+ *  failure (a compiler bug). Returns the number of variants checked. */
 unsigned verifyVariantEquivalence(
     const std::map<BinaryVariant, CompiledBinary> &variants);
 

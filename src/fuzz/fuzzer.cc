@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "arch/emulator.hh"
-#include "arch/state_diff.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "compiler/driver.hh"
@@ -174,40 +173,15 @@ checkProgram(const IrFunction &fn, const FuzzOptions &opts)
     }
 
     // (a) Functional equivalence, full state, every variant.
-    Emulator refEmu;
-    const Program &refProg =
-        variants.at(BinaryVariant::Normal).program;
-    EmuResult refRes = refEmu.run(refProg, nullptr, opts.emuMaxSteps);
-    if (!refRes.halted) {
-        fail("nonhalt",
-             detail::format("normal variant did not halt within ",
-                            opts.emuMaxSteps, " steps"));
+    VariantCheck eq = checkVariantEquivalence(variants, opts.emuMaxSteps);
+    out.variantsChecked = eq.checked;
+    if (!eq.ok()) {
+        fail(eq.kind.c_str(), eq.detail);
         return out;
     }
+    const EmuResult &refRes = eq.reference;
 
-    for (const auto &kv : variants) {
-        Emulator emu;
-        EmuResult res = emu.run(kv.second.program, nullptr,
-                                opts.emuMaxSteps);
-        ++out.variantsChecked;
-        if (!res.halted) {
-            fail("nonhalt",
-                 detail::format(variantName(kv.first),
-                                " did not halt within ",
-                                opts.emuMaxSteps,
-                                " steps (normal halted after ",
-                                refRes.dynInsts, ")"));
-            return out;
-        }
-        if (StateDiff d = firstStateDiff(refEmu.state(), emu.state())) {
-            fail("emu-diverge",
-                 detail::format(variantName(kv.first), ": ",
-                                d.describe()));
-            return out;
-        }
-    }
-
-    // (b) + (c) Cycle-accurate core across the machine matrix.
+    // (b) Cycle-accurate core across the machine matrix.
     if (!opts.runCore)
         return out;
     for (const ParamsPoint &pt : opts.matrix) {
@@ -239,19 +213,6 @@ checkProgram(const IrFunction &fn, const FuzzOptions &opts)
                          r.result.memFingerprint, " vs ",
                          refRes.memFingerprint));
                 return out;
-            }
-            if (pt.params.collectAttribution) {
-                std::uint64_t sum = 0;
-                for (const auto &st : r.stats)
-                    if (st.first.rfind("attrib.", 0) == 0)
-                        sum += st.second;
-                if (sum != r.result.cycles) {
-                    fail("attrib-invariant",
-                         detail::format(pt.label, "/", vn, ": sum(",
-                                        sum, ") != core.cycles(",
-                                        r.result.cycles, ")"));
-                    return out;
-                }
             }
             if (pt.params.pollScheduler) {
                 // The poll scan is the event scheduler's verification
@@ -334,7 +295,6 @@ fuzzCampaign(const FuzzOptions &opts, std::ostream *log)
             FuzzOptions so = opts;
             so.shrink = false;
             const bool coreKind = f.kind.rfind("core", 0) == 0 ||
-                                  f.kind == "attrib-invariant" ||
                                   f.kind == "sched-mismatch";
             so.runCore = coreKind;
             const unsigned budget = coreKind ? 400 : 1500;

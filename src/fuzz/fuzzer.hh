@@ -7,15 +7,18 @@
  *
  *  (a) the functional emulator across variants — full architectural
  *      state (every integer register and memory word) must match the
- *      normal variant's; the first differing word is reported;
+ *      normal variant's; the first differing word is reported
+ *      (checkVariantEquivalence, compiler/driver.hh);
  *  (b) the cycle-accurate core across a SimParams matrix (confidence
  *      geometry, ROB/IQ sizes, poll vs. event scheduler, predication
  *      mechanism) — result register and memory fingerprint must match
  *      the emulator on every variant × machine point. The core executes
  *      through executeInst() and the emulator through threadedRun(),
- *      two instantiations of the same opcode bodies (arch/semantics.hh);
- *  (c) the attribution invariant — with collectAttribution on, the
- *      attrib.* CPI-stack counters must sum exactly to core.cycles.
+ *      two instantiations of the same opcode bodies (arch/semantics.hh).
+ *
+ * On the points with collectAttribution on, the attribution engine
+ * itself asserts that the attrib.* CPI stack sums to core.cycles
+ * (AttributionEngine::finish), so no run returns a stack that does not.
  *
  * On divergence the driver shrinks the program (shrink.hh) under a
  * predicate that re-checks the same failure kind, and writes a

@@ -279,26 +279,14 @@ RunService::tryLoad(const RunKey &key, RunOutcome &out)
     // The entry exists but failed validation: corrupt, truncated, or
     // written by an incompatible format version. Fall back to a fresh
     // simulation (which overwrites it) rather than failing the run.
-    // Warn once per offending path: under N --shard processes sharing
-    // the directory one poisoned entry would otherwise emit a warning
-    // per request.
-    bool firstSighting;
     std::uint64_t total;
     {
         std::lock_guard<std::mutex> lk(mutex_);
-        ++stats_.corrupt;
-        total = stats_.corrupt;
-        firstSighting = warnedCorrupt_.insert(path).second;
-        // Bound the memory a pathological cache directory can pin.
-        if (warnedCorrupt_.size() > 1024)
-            warnedCorrupt_.clear();
+        total = ++stats_.corrupt;
     }
-    if (firstSighting)
-        wisc_warn("run cache entry '", path,
-                  "' is corrupt or incompatible; re-simulating "
-                  "(warning once per entry; ", total,
-                  " corrupt rejection", total == 1 ? "" : "s",
-                  " so far)");
+    wisc_warn("run cache entry '", path,
+              "' is corrupt or incompatible; re-simulating (", total,
+              " corrupt rejection", total == 1 ? "" : "s", " so far)");
     return false;
 }
 

@@ -21,9 +21,9 @@
  *    readers never see a partial entry. The format is
  *    stated once, as StateIO walks (common/bytes.hh) of the entry frame
  *    and of the RunOutcome that both encode and decode run. Corrupt,
- *    truncated, or version-mismatched entries are rejected (warned once
- *    each, counted) and fall back to a fresh simulation that overwrites
- *    the bad entry.
+ *    truncated, or version-mismatched entries are rejected (warned and
+ *    counted) and fall back to a fresh simulation that overwrites the
+ *    bad entry.
  *
  * The global() instance backs run(prog, params). It starts as a pure
  * pass-through (no memo, no disk), so tests, examples and tools
@@ -38,7 +38,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 
 #include "harness/runner.hh"
@@ -136,8 +135,6 @@ class RunService
     bool memoize_ = false;
     RunCacheStats stats_;
     std::map<RunKey, std::shared_future<OutcomePtr>> inflight_;
-    /** Corrupt-entry paths already warned about (rate limiting). */
-    std::set<std::string> warnedCorrupt_;
 };
 
 /** Serialize a RunOutcome into the versioned, checksummed cache-entry

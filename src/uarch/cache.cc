@@ -86,15 +86,14 @@ MemorySystem::loadAccess(Addr addr, Cycle now)
 {
     Addr line = addr / params_.dl1.lineBytes;
 
-    // A line whose fill is still outstanding costs the remaining time.
-    auto it = fillsInFlight_.find(line);
-    if (it != fillsInFlight_.end()) {
-        if (it->second > now) {
+    // Drop the fills that have completed; a line whose fill is still
+    // outstanding costs the remaining time.
+    std::erase_if(fills_, [&](const Fill &f) { return f.ready <= now; });
+    for (const Fill &f : fills_) {
+        if (f.line == line) {
             dl1_.access(addr); // keep LRU/tag state coherent
-            return static_cast<unsigned>(it->second - now) +
-                   dl1_.hitLatency();
+            return static_cast<unsigned>(f.ready - now) + dl1_.hitLatency();
         }
-        fillsInFlight_.erase(it);
     }
 
     unsigned lat;
@@ -105,19 +104,8 @@ MemorySystem::loadAccess(Addr addr, Cycle now)
     } else {
         lat = dl1_.hitLatency() + l2_.hitLatency() + params_.memLatency;
     }
-    if (lat > dl1_.hitLatency()) {
-        fillsInFlight_[line] = now + lat;
-        // Bound the map: drop expired fills opportunistically.
-        if (fillsInFlight_.size() > 4096) {
-            for (auto fit = fillsInFlight_.begin();
-                 fit != fillsInFlight_.end();) {
-                if (fit->second <= now)
-                    fit = fillsInFlight_.erase(fit);
-                else
-                    ++fit;
-            }
-        }
-    }
+    if (lat > dl1_.hitLatency())
+        fills_.push_back({line, now + lat});
     return lat;
 }
 
@@ -149,7 +137,7 @@ MemorySystem::io(StateIO &io)
     il1_.io(io);
     dl1_.io(io);
     l2_.io(io);
-    io.map(fillsInFlight_, [&](Addr &line, Cycle &ready) { io(line, ready); });
+    io.seq(fills_, [&](Fill &f) { io(f.line, f.ready); });
 }
 
 unsigned

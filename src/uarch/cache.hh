@@ -11,7 +11,6 @@
 #define WISC_UARCH_CACHE_HH_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -95,9 +94,9 @@ class MemorySystem
     /** Pre-touch a text range into L1I/L2 (warm instruction image). */
     void warmText(Addr base, Addr bytes);
 
-    /** Walk tag/LRU state of all three caches plus the in-flight fill
-     *  ledger (ready cycles are absolute, so a restore must also
-     *  restore the cycle clock they were recorded under). */
+    /** Walk tag/LRU state of all three caches plus the fill ledger
+     *  (ready cycles are absolute, so a restore must also restore the
+     *  cycle clock they were recorded under). */
     void io(StateIO &io);
 
     unsigned l1dHitLatency() const;
@@ -107,8 +106,19 @@ class MemorySystem
     Cache il1_;
     Cache dl1_;
     Cache l2_;
-    /** Data lines currently being filled: line address -> ready cycle. */
-    std::map<Addr, Cycle> fillsInFlight_;
+    /** A data line being filled and the cycle its fill completes. */
+    struct Fill
+    {
+        Addr line;
+        Cycle ready;
+    };
+    /** The fill ledger: the fills not yet dropped. A load drops the
+     *  completed ones before it looks its line up, so the ledger holds
+     *  only fills outstanding at the last load. Each is a primary miss
+     *  that passed the core's MSHR check, so it holds no more than
+     *  SimParams::maxOutstandingMisses, plus any that a restored
+     *  checkpoint or an earlier run on the same core carried in. */
+    std::vector<Fill> fills_;
 };
 
 } // namespace wisc

@@ -9,17 +9,17 @@
  *
  *   - architectural state (registers, predicates, memory pages);
  *   - µarchitectural warm state: cache tags/LRU across all three
- *     levels plus the outstanding-fill ledger, direction predictor,
- *     confidence estimator, BTB, return address stack, indirect target
- *     cache, and the wish-engine mode machine / predicate buffer /
- *     loop-trip tables;
+ *     levels plus the fill ledger (only the fills a load has not yet
+ *     dropped as complete), direction predictor, confidence estimator,
+ *     BTB, return address stack, indirect target cache, and the
+ *     wish-engine mode machine / predicate buffer / loop-trip tables;
  *   - a handful of core scalars: cycle clock, retired-µop count, fetch
  *     PC/halt/stall, the seq/uid allocators (sequence numbers must
  *     stay monotone across the boundary — retirement ordering and the
  *     attribution flush shadow compare them), and optionally the
  *     attribution engine's cross-cycle flush-shadow state.
  *
- * Producer tables, store indices, completion events, and wait chains
+ * Producer tables, the store queue, completion events, and wait chains
  * are deliberately absent: at a drained boundary every allocated seq
  * number is retired, and the core treats any stale producer entry
  * whose µop is no longer in the ROB as "complete" — the tables are
@@ -52,7 +52,8 @@ namespace wisc {
 struct CoreCheckpoint
 {
     /** Cycle clock at the boundary. The memory system's fill ledger
-     *  stores absolute ready cycles, so the clock restores with it. */
+     *  holds only fills not yet dropped, each with its absolute ready
+     *  cycle, so the clock restores with it. */
     Cycle now = 0;
     /** Retired µops up to the boundary (whole-run coordinate). */
     std::uint64_t retiredUops = 0;

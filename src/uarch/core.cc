@@ -20,19 +20,6 @@ rangesOverlap(Addr a, unsigned asz, Addr b, unsigned bsz)
     return a < b + bsz && b < a + asz;
 }
 
-/** First and last 8-byte-aligned word touched by [addr, addr+size). */
-inline Addr
-firstWord(Addr addr)
-{
-    return addr >> 3;
-}
-
-inline Addr
-lastWord(Addr addr, unsigned size)
-{
-    return (addr + size - 1) >> 3;
-}
-
 } // namespace
 
 Core::Core(const SimParams &params, StatSet &stats)
@@ -284,9 +271,12 @@ Core::computeDeps(DynInst &di)
 {
     const Instruction &si = instOf(di);
 
+    // Every helper below is forced inline: rename runs them for every
+    // µop, and GCC would otherwise call them from each shape.
     // 'pred' marks a predication-induced dependence (qualifying
     // predicate / old destination) in predDepMask for attribution.
-    auto dep = [&](SeqNum s, bool pred = false) {
+    auto dep = [&](SeqNum s, bool pred = false)
+                   __attribute__((always_inline)) {
         if (s != 0) {
             wisc_assert(di.numDeps < kMaxDeps,
                         "µop exceeds kMaxDeps producers");
@@ -295,16 +285,16 @@ Core::computeDeps(DynInst &di)
             di.deps[di.numDeps++] = s;
         }
     };
-    auto depReg = [&](RegIdx r, bool pred = false) {
+    auto depReg = [&](RegIdx r, bool pred = false)
+                      __attribute__((always_inline)) {
         if (r != kRegZero)
             dep(regProducer_[r], pred);
     };
-    auto depPred = [&](PredIdx p, bool pred = false) {
+    auto depPred = [&](PredIdx p, bool pred = false)
+                       __attribute__((always_inline)) {
         if (p != 0)
             dep(predProducer_[p], pred);
     };
-    // Forced inline: rename runs the roles for every µop, and GCC would
-    // otherwise call them from each shape.
     auto regSources = [&]() __attribute__((always_inline)) {
         if (di.readsRs1())
             depReg(si.rs1);
@@ -521,55 +511,18 @@ Core::unlinkWaiter(DynInst &di)
     di.chainNext = 0;
 }
 
-// ---------------------------------------------------------------------
-// In-flight store index
-// ---------------------------------------------------------------------
-
-void
-Core::indexStore(SeqNum seq, Addr addr, unsigned size)
-{
-    for (Addr w = firstWord(addr); w <= lastWord(addr, size); ++w)
-        storesByWord_[w].push_back(seq); // rename order: ascending
-}
-
-void
-Core::unindexStore(SeqNum seq, Addr addr, unsigned size)
-{
-    for (Addr w = firstWord(addr); w <= lastWord(addr, size); ++w) {
-        auto it = storesByWord_.find(w);
-        wisc_assert(it != storesByWord_.end(), "store index miss");
-        auto &v = it->second;
-        auto pos = std::find(v.begin(), v.end(), seq);
-        wisc_assert(pos != v.end(), "store index entry miss");
-        v.erase(pos);
-    }
-}
-
+/** The store queue is in program order, so scanning it youngest-first,
+ *  the first older store that overlaps is the youngest. */
 const DynInst *
 Core::youngestOlderStore(SeqNum seq, Addr addr, unsigned size) const
 {
-    const DynInst *best = nullptr;
-    for (Addr w = firstWord(addr); w <= lastWord(addr, size); ++w) {
-        auto it = storesByWord_.find(w);
-        if (it == storesByWord_.end())
-            continue;
-        const auto &v = it->second;
-        // Youngest-first; the first *overlapping* older store in this
-        // bucket decides for this word (same-word non-overlapping byte
-        // ops are skipped, exactly like the old full reverse walk).
-        for (auto r = v.rbegin(); r != v.rend(); ++r) {
-            if (*r >= seq)
-                continue;
-            const DynInst *st = findInst(*r);
-            wisc_assert(st, "indexed store not in flight");
-            if (!rangesOverlap(st->memAddr, st->memSize, addr, size))
-                continue;
-            if (!best || st->seq > best->seq)
-                best = st;
-            break;
-        }
+    for (auto it = storeQueue_.rbegin(); it != storeQueue_.rend(); ++it) {
+        const DynInst *st = *it;
+        if (st->seq < seq &&
+            rangesOverlap(st->memAddr, st->memSize, addr, size))
+            return st;
     }
-    return best;
+    return nullptr;
 }
 
 // ---------------------------------------------------------------------
@@ -1019,7 +972,7 @@ Core::renameOne(DynInst &di)
     computeDeps(di);
     ++iqCount_;
     if (di.isStoreOp() && !di.noMemAccess)
-        indexStore(di.seq, di.memAddr, di.memSize);
+        storeQueue_.push_back(&di);
     scheduleOrReady(di);
 }
 
@@ -1348,8 +1301,11 @@ Core::flushAfter(const DynInst &branch, std::uint32_t redirectPc,
                     "squashed producer still has waiters");
         if (di.inIQ)
             --iqCount_;
-        if (di.isStoreOp() && !di.noMemAccess)
-            unindexStore(di.seq, di.memAddr, di.memSize);
+        if (di.isStoreOp() && !di.noMemAccess) {
+            wisc_assert(!storeQueue_.empty() && storeQueue_.back() == &di,
+                        "squashed store is not the youngest in the queue");
+            storeQueue_.pop_back();
+        }
         if (di.claimsReg)
             regProducer_[di.claimedReg] = di.prevRegProducer;
         for (unsigned s = 0; s < 2; ++s)
@@ -1415,7 +1371,9 @@ Core::stageRetire()
 
         if (di.isStoreOp() && !di.noMemAccess) {
             memsys_.tagAccess(di.memAddr);
-            unindexStore(di.seq, di.memAddr, di.memSize);
+            wisc_assert(!storeQueue_.empty() && storeQueue_.front() == &di,
+                        "retiring store is not the oldest in the queue");
+            storeQueue_.pop_front();
         }
 
         undo_.commitTo(di.undoEnd);
@@ -1722,7 +1680,7 @@ Core::resetMachine(const Program &prog)
     std::fill(std::begin(predProducer_), std::end(predProducer_), 0);
     while (!missHeap_.empty())
         missHeap_.pop();
-    storesByWord_.clear();
+    storeQueue_.clear();
     dynActive_ = false;
     dynRegionEnd_ = 0;
     dynRealPc_ = 0;

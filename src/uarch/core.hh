@@ -56,10 +56,10 @@
 #define WISC_UARCH_CORE_HH_
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/executor.hh"
@@ -453,9 +453,6 @@ class Core
     /** Issue one ready µop if no structural/memory hazard blocks it. */
     bool tryIssueOne(DynInst &di, unsigned &memPorts);
 
-    // In-flight store index (O(words-touched) instead of O(stores)).
-    void indexStore(SeqNum seq, Addr addr, unsigned size);
-    void unindexStore(SeqNum seq, Addr addr, unsigned size);
     /** Youngest in-flight store older than 'seq' overlapping the given
      *  range, or null. */
     const DynInst *youngestOlderStore(SeqNum seq, Addr addr,
@@ -598,11 +595,13 @@ class Core
      *  of scanning every slot per load issue. */
     std::priority_queue<Cycle, std::vector<Cycle>, std::greater<Cycle>>
         missHeap_;
-    /** Word-granular index over in-flight (renamed, unretired) stores:
-     *  8-byte-aligned word -> ascending seqnums of the stores touching
-     *  it. Buckets are kept allocated (cleared, not erased) across
-     *  reuse. */
-    std::unordered_map<Addr, std::vector<SeqNum>> storesByWord_;
+    /** In-flight (renamed, unretired) stores that access memory, in
+     *  program order: rename appends, retirement pops the front, and a
+     *  squash, which goes youngest first, pops the back. Entries are
+     *  ring slots, which do not move while their µop is in flight. A
+     *  load scans it; it holds about two stores per lookup (DESIGN.md
+     *  §7). */
+    std::deque<DynInst *> storeQueue_;
     std::uint64_t retiredUops_ = 0;
 
     // Statistics handles.

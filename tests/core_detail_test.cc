@@ -2,14 +2,15 @@
  * @file
  * Detailed timing-model tests: MSHR limiting, the fetch group rules
  * (taken-branch stop, conditional-branch cap), select-µop expansion
- * accounting, NO-FETCH's treatment of unconditional compares, and the
+ * accounting, NO-FETCH's treatment of unconditional compares, the
  * predicate-dependency-elimination speedup in high-confidence mode and
- * the dependences it keeps.
+ * the dependences it keeps, and which store a load issues behind.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
 #include <unordered_map>
 
 #include "compiler/builder.hh"
@@ -257,6 +258,64 @@ TEST(CoreDetail, PredictedTrueCombinerWaitsForItsPredicateSources)
     EXPECT_GT(stats.get("wish.jump.high.correct"), 0u);
     EXPECT_EQ(order.combiners, 3u * 64);
     EXPECT_EQ(order.early, 0u);
+}
+
+/** Records the issue and completion cycles of a straight-line
+ *  program's µops by opcode; each opcode a test reads appears once. */
+class CyclesByOpcode : public ProbeSink
+{
+  public:
+    void onFetch(const FetchProbe &p) override { op_[p.uid] = p.inst->op; }
+    void
+    onIssue(const StageProbe &p) override
+    {
+        issue[op_.at(p.uid)] = p.cycle;
+    }
+    void
+    onComplete(const StageProbe &p) override
+    {
+        complete[op_.at(p.uid)] = p.cycle;
+    }
+
+    std::map<Opcode, Cycle> issue, complete;
+
+  private:
+    std::unordered_map<std::uint64_t, Opcode> op_;
+};
+
+TEST(CoreDetail, LoadIssuesBehindTheYoungestOlderOverlappingStore)
+{
+    // An 8-byte store whose data waits on a divide, then a one-byte
+    // store, then an 8-byte load of bytes 4..11: the slow store's upper
+    // half and the next word's first four bytes.
+    auto cycles = [](int st1Offset) {
+        Program p = assemble("li r6, 0x40000\n"
+                             "li r1, 1000\n"
+                             "li r2, 7\n"
+                             "div r3, r1, r2\n"
+                             "st r3, r6, 0\n"
+                             "li r4, 5\n"
+                             "st1 r4, r6, " +
+                             std::to_string(st1Offset) +
+                             "\n"
+                             "ld r5, r6, 4\n"
+                             "halt\n");
+        CyclesByOpcode c;
+        StatSet stats;
+        EXPECT_TRUE(simulate(p, SimParams{}, stats, {&c}).halted);
+        return c;
+    };
+
+    // The one-byte store writes byte 8, inside the load: it is the
+    // youngest older overlapping store, so the load issues behind it,
+    // before the slow store completes.
+    CyclesByOpcode inside = cycles(8);
+    EXPECT_LT(inside.issue.at(Opcode::Ld), inside.complete.at(Opcode::St));
+
+    // At byte 16 it is outside the load, and the slow store decides.
+    CyclesByOpcode outside = cycles(16);
+    EXPECT_GE(outside.issue.at(Opcode::Ld),
+              outside.complete.at(Opcode::St));
 }
 
 TEST(CoreDetail, FlushRestoresStoreOrdering)
