@@ -61,9 +61,7 @@ main()
         SimParams params;
         StatSet stats;
         PipeTracer tracer(400);
-        Core core(params, stats);
-        core.addSink(&tracer);
-        SimResult r = core.run(p);
+        SimResult r = simulate(p, params, stats, {&tracer});
 
         std::cout << "\n==== " << (wish ? "WISH JUMP/JOIN" : "NORMAL BRANCH")
                   << " ====  cycles=" << r.cycles

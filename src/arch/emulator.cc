@@ -47,7 +47,7 @@ Emulator::run(const Program &prog, Profile *profile, std::uint64_t maxSteps)
 {
     prog.validate();
 
-    state_.reset();
+    state_ = ArchState();
     state_.loadData(prog);
 
     if (profile) {

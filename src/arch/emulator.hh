@@ -60,7 +60,8 @@ class Emulator
     static constexpr std::uint64_t kDefaultMaxSteps = 400'000'000;
 
     /**
-     * Run the program from its entry point until Halt.
+     * Run the program from its entry point until Halt, on a fresh
+     * architectural state (nothing carries over from an earlier run).
      *
      * @param prog     validated program to run
      * @param profile  if non-null, filled with per-instruction counters

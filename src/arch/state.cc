@@ -123,15 +123,6 @@ Memory::touchedPages() const
 }
 
 void
-ArchState::reset()
-{
-    regs_.fill(0);
-    preds_.fill(false);
-    // A convenient default stack pointer, far from code and data.
-    regs_[kRegSp] = 0x7ff00000;
-}
-
-void
 ArchState::loadData(const Program &prog)
 {
     for (const auto &seg : prog.data()) {

@@ -66,9 +66,9 @@ class Memory
 class ArchState
 {
   public:
-    ArchState() { reset(); }
-
-    void reset();
+    /** Zero registers and predicates, an empty memory, and a
+     *  convenient default stack pointer, far from code and data. */
+    ArchState() { regs_[kRegSp] = 0x7ff00000; }
 
     /** Seed memory from a program's data segments. */
     void loadData(const Program &prog);
@@ -106,8 +106,8 @@ class ArchState
     void io(StateIO &io);
 
   private:
-    std::array<Word, kNumIntRegs> regs_;
-    std::array<bool, kNumPredRegs> preds_;
+    std::array<Word, kNumIntRegs> regs_{};
+    std::array<bool, kNumPredRegs> preds_{};
     Memory mem_;
 };
 

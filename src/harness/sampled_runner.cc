@@ -57,9 +57,9 @@ runSampled(const Program &prog, const SimParams &params)
                 "mechanism without the NO-FETCH oracle");
     // Dynamic predication: FetchGate warms like everything else, since
     // the fast-forward runs the core's own branch rules (its estimator
-    // trains on every normal branch). MergePoint is rejected when the
-    // fast-forward starts: the merge-point table learns from the
-    // timing path's retired stream, which a functional run lacks.
+    // trains on every normal branch). The fast-forward rejects
+    // MergePoint itself: the merge-point table learns from the timing
+    // path's retired stream, which a functional run lacks.
 
     // The window cores and the fast-forward engine must agree on the
     // params fingerprint (the checkpoint guard), so both get the same
@@ -85,19 +85,6 @@ runSampled(const Program &prog, const SimParams &params)
     std::map<std::string, std::uint64_t> measDelta;
     std::map<std::string, std::uint64_t> attribDelta;
 
-    // One Core and one StatSet serve the prefix and every window.
-    // Re-beginRun() resets the pipeline and the architectural state but
-    // keeps the predictor, confidence, cache and wish tables: a window
-    // is correct only because its checkpoint restore then overwrites
-    // them. Counter deltas are taken against per-window snapshots. This
-    // keeps the per-window fixed cost to the checkpoint restore itself
-    // instead of paying predictor-table and cache-array allocation per
-    // window.
-    StatSet ws;
-    Core core(wp, ws);
-    const auto &counters = ws.record().stats;
-    std::map<std::string, std::uint64_t> snapStart, snapMeas;
-
     // Stratum A: the detailed prefix, simulated cycle-accurately from
     // reset — byte-for-byte the same machine evolution as the full
     // run's own cold start, so its cycles and counters are *exact*
@@ -109,18 +96,21 @@ runSampled(const Program &prog, const SimParams &params)
     bool prefixHalted = false;
     std::map<std::string, std::uint64_t> prefixDelta;
     if (sp.prefixUops > 0) {
-        core.beginRun(prog);
+        StatSet ps;
+        Core core(wp, ps, prog);
         core.advance(sp.prefixUops, /*drain=*/false);
         prefixCycles = core.cycles();
         prefixRetired = core.retired();
         prefixHalted = core.halted();
-        core.finishRun(); // publishes attribution into ws
-        prefixQt = prefixRetired - ws.get(kPredFalse);
-        prefixDelta = counters;
+        core.finishRun(); // publishes attribution into ps
+        prefixQt = prefixRetired - ps.get(kPredFalse);
+        prefixDelta = ps.record().stats;
     }
 
     // Stratum B: periodic detailed windows over the remainder, the
-    // first one centered half a period past the prefix.
+    // first one centered half a period past the prefix. Each window is
+    // a Core restored from the fast-forward's checkpoint with its own
+    // StatSet, so its counters start at zero.
     std::uint64_t nextStart = sp.prefixUops + sp.periodUops / 2;
     while (!prefixHalted && nextStart <= kCap) {
         ff.advanceTo(nextStart);
@@ -129,11 +119,12 @@ runSampled(const Program &prog, const SimParams &params)
 
         CoreCheckpoint ckpt;
         ff.checkpoint(ckpt);
+        StatSet ws;
+        Core core(wp, ws, prog, ckpt);
+        const auto &counters = ws.record().stats;
 
-        snapStart = counters;
-        core.beginRun(prog, ckpt);
-
-        const std::uint64_t base = ckpt.retiredUops;
+        const Cycle start = core.cycles();
+        const std::uint64_t base = core.retired();
         core.advance(base + sp.warmupUops, /*drain=*/false);
 
         // Post-warmup marks and counter snapshot: measurement starts
@@ -142,7 +133,7 @@ runSampled(const Program &prog, const SimParams &params)
         const bool warmHalted = core.halted();
         const Cycle c0 = core.cycles();
         const std::uint64_t u0 = core.retired();
-        snapMeas = counters;
+        std::map<std::string, std::uint64_t> snapMeas = counters;
 
         if (!warmHalted)
             core.advance(u0 + sp.measureUops, /*drain=*/false);
@@ -161,16 +152,13 @@ runSampled(const Program &prog, const SimParams &params)
                                 static_cast<double>(mqt));
             measCycles += mc;
             measQt += mqt;
-            windowCycles += core.cycles() - ckpt.now;
-            windowQt += core.retired() - base -
-                        (ws.get(kPredFalse) - snapStart[kPredFalse]);
+            windowCycles += core.cycles() - start;
+            windowQt += core.retired() - base - ws.get(kPredFalse);
             for (const auto &[name, v] : counters) {
                 if (isAttrib(name)) {
                     // Attribution publishes only at finishRun, so its
                     // per-window exposure is the whole window.
-                    auto it = snapStart.find(name);
-                    attribDelta[name] +=
-                        v - (it == snapStart.end() ? 0 : it->second);
+                    attribDelta[name] += v;
                 } else {
                     auto it = snapMeas.find(name);
                     measDelta[name] +=

@@ -10,7 +10,7 @@
  * measured rather than estimated. Stratum B is functional fast-forward
  * with µarchitectural warming (uarch/fastfwd.hh) punctuated by
  * periodic detailed windows: each window restores the warm checkpoint
- * into the Core, runs a detailed-warmup span that is excluded from
+ * into a Core of its own, runs a detailed-warmup span excluded from
  * measurement, then measures SimParams::sampling.measureUops
  * cycle-accurately. Per-window measurements aggregate into whole-run
  * estimates:

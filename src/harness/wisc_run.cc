@@ -18,6 +18,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/log.hh"
 #include "common/parse.hh"
@@ -219,10 +220,10 @@ main(int argc, char **argv)
 
         StatSet stats;
         PipeTracer tracer(pipeview ? pipeview * 4 : 4096);
-        Core core(params, stats);
+        std::vector<ProbeSink *> sinks;
         if (pipeview)
-            core.addSink(&tracer);
-        SimResult r = core.run(prog);
+            sinks.push_back(&tracer);
+        SimResult r = simulate(prog, params, stats, sinks);
         if (pipeview)
             tracer.render(std::cout, 0, pipeview);
         std::cout << "halted=" << (r.halted ? "yes" : "NO")

@@ -117,7 +117,7 @@ class MemorySystem
      *  only fills outstanding at the last load. Each is a primary miss
      *  that passed the core's MSHR check, so it holds no more than
      *  SimParams::maxOutstandingMisses, plus any that a restored
-     *  checkpoint or an earlier run on the same core carried in. */
+     *  checkpoint carried in. */
     std::vector<Fill> fills_;
 };
 

@@ -22,7 +22,37 @@ rangesOverlap(Addr a, unsigned asz, Addr b, unsigned bsz)
 
 } // namespace
 
-Core::Core(const SimParams &params, StatSet &stats)
+Core::Core(const SimParams &params, StatSet &stats, const Program &prog)
+    : Core(params, stats, prog, Unstarted{})
+{
+    state_.loadData(prog);
+    fetchPc_ = prog.entry();
+    // Warm the instruction image: our kernels fit comfortably in the
+    // 64 KB L1I, so a cold-start I-cache would only add noise.
+    memsys_.warmText(kTextBase, codeSize_ * kInstBytes);
+}
+
+Core::Core(const SimParams &params, StatSet &stats, const Program &prog,
+           const CoreCheckpoint &ckpt)
+    : Core(params, stats, prog, Unstarted{})
+{
+    wisc_assert(ckpt.paramsFingerprint == params_.fingerprint(),
+                "checkpoint was taken under a different machine "
+                "configuration");
+    wisc_assert(ckpt.progFingerprint == prog.fingerprint(),
+                "checkpoint was taken running a different program");
+    StateIO io(ckpt.bytes);
+    ioWarmState(io);
+    wisc_assert(io.done(), "checkpoint restore stopped at byte ",
+                io.pos(), " of ", ckpt.bytes.size(),
+                io.ok() ? ": save/restore walk mismatch"
+                        : ": truncated, or a table sized for another "
+                          "machine");
+    attribStartCycle_ = now_;
+}
+
+Core::Core(const SimParams &params, StatSet &stats, const Program &prog,
+           Unstarted)
     : params_(params),
       stats_(stats),
       memsys_(params, stats),
@@ -32,7 +62,10 @@ Core::Core(const SimParams &params, StatSet &stats)
       itc_(params.indirectEntries, params.indirectHistBits),
       conf_(makeConfidenceEstimator(params, stats, *bpred_)),
       wish_(stats, params.wishLoopBias),
-      merge_(params.dynMergeEntries, params.dynMergeTrackUops)
+      merge_(params.dynMergeEntries, params.dynMergeTrackUops),
+      prog_(prog),
+      code_(prog.codeData()),
+      codeSize_(static_cast<std::uint32_t>(prog.size()))
 {
     // With any of these at 0 no µop could ever retire, and the core
     // would spin until maxCycles.
@@ -115,6 +148,39 @@ Core::Core(const SimParams &params, StatSet &stats)
                                     "µops delivered per fetching cycle");
     hFlushSquash_ = &stats.histogram("core.flush_squash", 64,
                                      "µops squashed per pipeline flush");
+
+    prog.validate();
+    // Predecode the static image once: per-PC flags and execute
+    // latencies replace per-fetch opcode-table walks.
+    pre_.resize(codeSize_);
+    for (std::uint32_t i = 0; i < codeSize_; ++i) {
+        const Instruction &si = code_[i];
+        pre_[i].flags = predecodeFlags(si);
+        unsigned lat;
+        switch (si.instrClass()) {
+          case InstrClass::IntMul: lat = params_.latMul; break;
+          case InstrClass::IntDiv: lat = params_.latDiv; break;
+          case InstrClass::Branch: lat = params_.latBranch; break;
+          default: lat = params_.latAlu; break;
+        }
+        wisc_assert(lat > 0 && lat < 256, "execute latency out of range");
+        pre_[i].exLat = static_cast<std::uint8_t>(lat);
+    }
+
+    // The ROB plus the fetch queue, in which a µop that expands into a
+    // select-µop pair holds two slots.
+    uops_.reset(params_.robSize +
+                fetchQueueCap_ *
+                    (params_.predMech == PredMechanism::SelectUop ? 2 : 1));
+
+    // The attribution engine rides the run as one more probe sink,
+    // attached only when the params opt in, so default runs register no
+    // attrib.* statistics and pay no per-event cost.
+    if (params_.collectAttribution || params_.collectBranchProfile) {
+        attrib_.emplace(stats_, params_.collectAttribution,
+                        params_.collectBranchProfile);
+        addSink(&*attrib_);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1576,10 +1642,13 @@ Core::warmPredicatedBlock(FetchedUop &di, std::uint32_t branchPc)
 void
 Core::fastForward(std::uint64_t targetUops)
 {
+    wisc_assert(params_.dynPred != DynPredMode::MergePoint,
+                "fast-forward cannot train the merge-point table; "
+                "sample with dynPred=Off or FetchGate");
     if (haltRetired_ || targetUops <= retiredUops_)
         return;
     FastForwardHooks hooks{*this, {}};
-    ThreadedResult r = threadedRun(*prog_, state_, fetchPc_,
+    ThreadedResult r = threadedRun(prog_, state_, fetchPc_,
                                    targetUops - retiredUops_, hooks);
     retiredUops_ += r.steps;
     *cRetired_ += r.steps;
@@ -1593,139 +1662,14 @@ Core::fastForward(std::uint64_t targetUops)
 // ---------------------------------------------------------------------
 
 SimResult
-Core::run(const Program &prog)
+Core::run()
 {
-    beginRun(prog);
     advance(std::numeric_limits<std::uint64_t>::max());
     return finishRun();
 }
 
 void
-Core::beginRun(const Program &prog)
-{
-    resetMachine(prog);
-    // The ROB plus the fetch queue, in which a µop that expands into a
-    // select-µop pair holds two slots.
-    uops_.reset(params_.robSize +
-                fetchQueueCap_ *
-                    (params_.predMech == PredMechanism::SelectUop ? 2 : 1));
-
-    // The attribution engine rides the run as one more probe sink,
-    // attached only when the params opt in, so default runs register no
-    // attrib.* statistics and pay no per-event cost.
-    wisc_assert(!attrib_, "beginRun without a matching finishRun");
-    externalSinks_ = nsinks_;
-    attribStartCycle_ = 0;
-    if (params_.collectAttribution || params_.collectBranchProfile) {
-        attrib_.emplace(stats_, params_.collectAttribution,
-                        params_.collectBranchProfile);
-        addSink(&*attrib_);
-    }
-}
-
-void
-Core::beginFastForward(const Program &prog)
-{
-    wisc_assert(params_.dynPred != DynPredMode::MergePoint,
-                "fast-forward cannot train the merge-point table; "
-                "sample with dynPred=Off or FetchGate");
-    resetMachine(prog);
-}
-
-/** Everything beginRun() and beginFastForward() share: predecode, reset
- *  the architectural and pipeline state, warm the text image. */
-void
-Core::resetMachine(const Program &prog)
-{
-    prog.validate();
-    prog_ = &prog;
-    code_ = prog.codeData();
-    codeSize_ = static_cast<std::uint32_t>(prog.size());
-
-    // Predecode the static image once: per-PC flags and execute
-    // latencies replace per-fetch opcode-table walks.
-    pre_.assign(codeSize_, PreDecode{});
-    for (std::uint32_t i = 0; i < codeSize_; ++i) {
-        const Instruction &si = code_[i];
-        pre_[i].flags = predecodeFlags(si);
-        unsigned lat;
-        switch (si.instrClass()) {
-          case InstrClass::IntMul: lat = params_.latMul; break;
-          case InstrClass::IntDiv: lat = params_.latDiv; break;
-          case InstrClass::Branch: lat = params_.latBranch; break;
-          default: lat = params_.latAlu; break;
-        }
-        wisc_assert(lat > 0 && lat < 256, "execute latency out of range");
-        pre_[i].exLat = static_cast<std::uint8_t>(lat);
-    }
-
-    state_.reset();
-    state_.loadData(prog);
-    fetchPc_ = prog.entry();
-    fetchHalted_ = false;
-    fetchStallUntil_ = 0;
-    fetchFrozen_ = false;
-    now_ = 0;
-    haltRetired_ = false;
-    retiredUops_ = 0;
-    nextSeq_ = 1;
-    nextUid_ = 1;
-    fetchedUops_ = 0;
-    iqCount_ = 0;
-    readyList_.clear();
-    readySorted_ = true;
-    while (!events_.empty())
-        events_.pop();
-    std::fill(std::begin(regProducer_), std::end(regProducer_), 0);
-    std::fill(std::begin(predProducer_), std::end(predProducer_), 0);
-    while (!missHeap_.empty())
-        missHeap_.pop();
-    storeQueue_.clear();
-    dynActive_ = false;
-    dynRegionEnd_ = 0;
-    dynRealPc_ = 0;
-    dynTrigger_ = nullptr;
-    merge_.reset();
-
-    // Warm the instruction image: our kernels fit comfortably in the
-    // 64 KB L1I, so a cold-start I-cache would only add noise.
-    memsys_.warmText(kTextBase, codeSize_ * kInstBytes);
-}
-
-void
-Core::beginRun(const Program &prog, const CoreCheckpoint &ckpt)
-{
-    beginRun(prog);
-
-    wisc_assert(ckpt.paramsFingerprint == params_.fingerprint(),
-                "checkpoint was taken under a different machine "
-                "configuration");
-    wisc_assert(ckpt.progFingerprint == prog.fingerprint(),
-                "checkpoint was taken running a different program");
-
-    now_ = ckpt.now;
-    retiredUops_ = ckpt.retiredUops;
-    fetchPc_ = ckpt.fetchPc;
-    fetchHalted_ = ckpt.fetchHalted;
-    fetchStallUntil_ = ckpt.fetchStallUntil;
-    nextSeq_ = ckpt.nextSeq;
-    nextUid_ = ckpt.nextUid;
-    attribStartCycle_ = now_;
-
-    wisc_assert(!ckpt.hasAttribShadow || attrib_,
-                "checkpoint carries attribution shadow state but this "
-                "run does not collect attribution");
-    StateIO io(ckpt.bytes);
-    ioWarmState(io, ckpt.hasAttribShadow);
-    wisc_assert(io.done(), "checkpoint restore stopped at byte ",
-                io.pos(), " of ", ckpt.bytes.size(),
-                io.ok() ? ": save/restore walk mismatch"
-                        : ": truncated, or a table sized for another "
-                          "machine");
-}
-
-void
-Core::ioWarmState(StateIO &io, bool attribShadow)
+Core::ioWarmState(StateIO &io)
 {
     state_.io(io);
     memsys_.io(io);
@@ -1735,14 +1679,20 @@ Core::ioWarmState(StateIO &io, bool attribShadow)
     ras_.io(io);
     itc_.io(io);
     wish_.io(io);
-    // The merge table is walked only in MergePoint mode; the params
-    // fingerprint guard in beginRun makes save and restore symmetric. A
-    // fast-forwarding core never writes it: beginFastForward() rejects
-    // MergePoint.
+    // The merge table is walked only in MergePoint mode and the
+    // attribution shadow only when the params attach the engine; the
+    // params fingerprint guard makes save and restore symmetric. A
+    // fast-forwarding core's engine sees no probe, so it writes the
+    // initial shadow.
     if (params_.dynPred == DynPredMode::MergePoint)
         merge_.io(io);
-    if (attribShadow)
+    if (attrib_)
         attrib_->io(io);
+    // The fill ledger's ready cycles are absolute, so the clock comes
+    // with it. The allocators continue across the boundary: retirement
+    // ordering and the attribution flush shadow compare seq numbers.
+    io(now_, retiredUops_, fetchPc_, fetchHalted_, fetchStallUntil_,
+       nextSeq_, nextUid_);
 }
 
 void
@@ -1778,31 +1728,19 @@ Core::checkpoint(CoreCheckpoint &out) const
     wisc_assert(uops_.empty(),
                 "checkpoint requires a drained pipeline (advance() with "
                 "drain, or a halted machine)");
-    out.now = now_;
-    out.retiredUops = retiredUops_;
-    out.fetchPc = fetchPc_;
-    out.fetchHalted = fetchHalted_;
-    out.fetchStallUntil = fetchStallUntil_;
-    out.nextSeq = nextSeq_;
-    out.nextUid = nextUid_;
     out.paramsFingerprint = params_.fingerprint();
-    out.progFingerprint = prog_->fingerprint();
-
-    out.hasAttribShadow = attrib_.has_value();
+    out.progFingerprint = prog_.fingerprint();
     StateIO io;
     // Writing only reads the machine.
-    const_cast<Core *>(this)->ioWarmState(io, out.hasAttribShadow);
+    const_cast<Core *>(this)->ioWarmState(io);
     out.bytes = io.take();
 }
 
 SimResult
 Core::finishRun()
 {
-    if (attrib_) {
+    if (attrib_)
         attrib_->finish(now_ - attribStartCycle_);
-        nsinks_ = externalSinks_;
-        attrib_.reset();
-    }
 
     SimResult res;
     res.halted = haltRetired_;
@@ -1824,7 +1762,7 @@ Core::finishRun()
             res.retiredUops == std::numeric_limits<std::uint64_t>::max()
                 ? res.retiredUops
                 : res.retiredUops + 1);
-        EmuResult er = ref.run(*prog_, nullptr, steps);
+        EmuResult er = ref.run(prog_, nullptr, steps);
         wisc_assert(er.halted,
                     "reference emulation did not halt within ", steps,
                     " steps though the core retired Halt after ",
@@ -1842,10 +1780,10 @@ SimResult
 simulate(const Program &prog, const SimParams &params, StatSet &stats,
          const std::vector<ProbeSink *> &sinks)
 {
-    Core core(params, stats);
+    Core core(params, stats, prog);
     for (ProbeSink *s : sinks)
         core.addSink(s);
-    return core.run(prog);
+    return core.run();
 }
 
 } // namespace wisc

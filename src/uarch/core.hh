@@ -261,36 +261,35 @@ struct SimResult
 class Core
 {
   public:
-    Core(const SimParams &params, StatSet &stats);
+    /** A machine at reset, bound to (and not outliving) 'prog': it
+     *  predecodes the program, loads its data, warms the text image,
+     *  and attaches the attribution engine if the params ask for one.
+     *  Each Core runs its program once. */
+    Core(const SimParams &params, StatSet &stats, const Program &prog);
+
+    /** A machine resumed from 'ckpt' (produced by checkpoint(), after a
+     *  detailed drain or a fast-forward): everything the checkpoint
+     *  walk holds comes from it, and the rest starts as at reset. The
+     *  checkpoint's params/program fingerprints must match ours. */
+    Core(const SimParams &params, StatSet &stats, const Program &prog,
+         const CoreCheckpoint &ckpt);
+
+    /** The attribution engine is attached by its address. */
+    Core(const Core &) = delete;
+    Core &operator=(const Core &) = delete;
 
     /** Run the program to completion (Halt retired) or a safety limit.
-     *  Exactly equivalent to beginRun(prog) + advance(UINT64_MAX) +
-     *  finishRun(). */
-    SimResult run(const Program &prog);
+     *  Exactly equivalent to advance(UINT64_MAX) + finishRun(). */
+    SimResult run();
 
     // --- incremental driving (sampled simulation, checkpointing) -------
     //
     // run() is the one-shot form; the sampled runner and the checkpoint
     // round-trip tests drive the same machinery in pieces:
     //
-    //   beginRun(prog [, ckpt]);   // reset (or restore) machine state
     //   advance(target);           // cycle until `target` retired µops
     //   checkpoint(out);           // optional, at a drained boundary
     //   SimResult r = finishRun(); // publish attribution, final checks
-
-    /** Predecode the program, reset the pipeline, the architectural
-     *  state and the merge-point table, warm the text image, and attach
-     *  the attribution engine if the params ask for one. Pair with
-     *  finishRun(). The predictor, confidence, BTB, RAS, ITC, wish
-     *  engine, cache tags and the undo log's entries are kept, so a
-     *  second beginRun() on one Core runs on warm tables unless a
-     *  checkpoint restore follows. */
-    void beginRun(const Program &prog);
-
-    /** As above, then restore the warm state in 'ckpt' (produced by
-     *  checkpoint(), after a detailed drain or a fast-forward). The
-     *  checkpoint's params/program fingerprints must match ours. */
-    void beginRun(const Program &prog, const CoreCheckpoint &ckpt);
 
     /**
      * Cycle the pipeline until `targetRetired` *total* retired µops
@@ -307,7 +306,7 @@ class Core
     void advance(std::uint64_t targetRetired, bool drain = true);
 
     /** Publish attribution, run the optional final-state cross-check,
-     *  and return the run summary. */
+     *  and return the run summary. Call once, at the end of the run. */
     SimResult finishRun();
 
     /** Capture a warm-state checkpoint. Hard error unless the pipeline
@@ -317,16 +316,8 @@ class Core
 
     // --- functional fast-forward (sampled simulation) -------------------
     //
-    //   beginFastForward(prog);    // reset machine state, no window
     //   fastForward(target);       // execute functionally, warming
     //   checkpoint(out);           // restorable into a detailed core
-
-    /** Reset machine state and warm the text image as beginRun() does,
-     *  but allocate no ROB or fetch queue and attach no sinks: the
-     *  clock, allocators and fetch stall stay at their reset values.
-     *  MergePoint dynamic predication is rejected, because the
-     *  functional stream cannot train the merge-point table. */
-    void beginFastForward(const Program &prog);
 
     /**
      * Execute functionally until `targetUops` *total* instructions, or
@@ -339,13 +330,15 @@ class Core
      * deliberate: a predicated wish jump/join that is actually taken
      * walks the skipped block as the core's front end would fetch it,
      * and a mispredicted indirect jump or return is not replayed.
-     * Monotone (a target at or below retired() is a no-op) and never
-     * overshoots.
+     * Nothing cycles and no probe is emitted, so the clock, allocators
+     * and fetch stall stay where the core started. MergePoint dynamic
+     * predication is rejected, because the functional stream cannot
+     * train the merge-point table. Monotone (a target at or below
+     * retired() is a no-op) and never overshoots.
      */
     void fastForward(std::uint64_t targetUops);
 
-    // Progress accessors (valid between beginRun and finishRun, or
-    // after beginFastForward).
+    // Progress accessors.
     Cycle cycles() const { return now_; }
     std::uint64_t retired() const { return retiredUops_; }
     bool halted() const { return haltRetired_; }
@@ -369,12 +362,19 @@ class Core
     void stageRename();
     void stageFetch();
 
-    void resetMachine(const Program &prog);
+    /** The part both public constructors share: every structure built
+     *  cold and the program predecoded, with no data loaded, no text
+     *  image warmed and no fetch PC; each public constructor supplies
+     *  where its run starts. */
+    struct Unstarted
+    {
+    };
+    Core(const SimParams &params, StatSet &stats, const Program &prog,
+         Unstarted);
 
-    /** The one checkpoint walk: checkpoint() writes it, beginRun(prog,
-     *  ckpt) reads it. 'attribShadow' includes the attribution
-     *  engine's flush shadow. */
-    void ioWarmState(StateIO &io, bool attribShadow);
+    /** The one checkpoint walk: checkpoint() writes it, the restoring
+     *  constructor reads it. */
+    void ioWarmState(StateIO &io);
 
     // Helpers.
     /** The static instruction of a µop, in the immutable Program image. */
@@ -474,14 +474,14 @@ class Core
     MergePointTable merge_;
 
     // Program and speculative architectural state.
-    const Program *prog_ = nullptr;
-    const Instruction *code_ = nullptr;
-    std::uint32_t codeSize_ = 0;
+    const Program &prog_;
+    const Instruction *code_;
+    std::uint32_t codeSize_;
     ArchState state_;
     UndoLog undo_;
 
     /** Per-PC predecoded metadata (PreFlag mask + execute latency),
-     *  built once per run(). */
+     *  built once per Core. */
     struct PreDecode
     {
         std::uint16_t flags = 0;
@@ -580,15 +580,12 @@ class Core
 
     Cycle now_ = 0;
     bool haltRetired_ = false;
-    /** Attribution engine for the current run (beginRun..finishRun),
-     *  attached as one more probe sink when the params opt in. */
+    /** Attribution engine, attached as one more probe sink when the
+     *  params opt in. */
     std::optional<AttributionEngine> attrib_;
-    /** Sink count before the attribution engine was attached, restored
-     *  by finishRun(). */
-    unsigned externalSinks_ = 0;
-    /** Cycle clock at beginRun — finish() receives the delta this
-     *  engine observed, not the absolute clock, so a restored core's
-     *  attribution still sums exactly. */
+    /** Cycle clock the run started at — finish() receives the delta
+     *  this engine observed, not the absolute clock, so a restored
+     *  core's attribution still sums exactly. */
     Cycle attribStartCycle_ = 0;
     /** Completion cycles of outstanding L1D misses (MSHR occupancy),
      *  earliest first; stale heads are popped at the MSHR check instead

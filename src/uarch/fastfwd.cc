@@ -3,9 +3,8 @@
 namespace wisc {
 
 FastForward::FastForward(const Program &prog, const SimParams &params)
-    : core_(params, stats_)
+    : core_(params, stats_, prog)
 {
-    core_.beginFastForward(prog);
 }
 
 std::uint64_t

@@ -17,11 +17,11 @@
  *
  * The warming core never cycles: its clock, seq/uid allocators and
  * fetch stall stay at their reset values, data accesses warm cache
- * tags without fill timing, and no attribution engine rides along, so
- * a checkpoint carries an empty fill ledger and no attribution shadow.
- * Truly pipeline-local state — in-flight µops, fetch stalls — is
- * re-warmed by each window's detailed-warmup prefix
- * (SamplingParams::warmupUops).
+ * tags without fill timing, and it emits no probe, so a checkpoint
+ * carries an empty fill ledger and, on a machine that attaches the
+ * attribution engine, the engine's initial flush shadow. Truly
+ * pipeline-local state — in-flight µops, fetch stalls — is re-warmed
+ * by each window's detailed-warmup prefix (SamplingParams::warmupUops).
  *
  * The engine owns a private StatSet so the warming core's counter
  * traffic never pollutes the caller's statistics.
@@ -44,8 +44,8 @@ namespace wisc {
 class FastForward
 {
   public:
-    /** Binds to (and must not outlive) 'prog'. Warms the text image
-     *  immediately, exactly as Core::beginRun() does. */
+    /** Binds to (and must not outlive) 'prog'. Starts the core at
+     *  reset, text image warmed, exactly as a detailed run starts. */
     FastForward(const Program &prog, const SimParams &params);
 
     /**
@@ -73,7 +73,7 @@ class FastForward
     const ArchState &archState() const { return core_.archState(); }
 
     /** Capture a warm-state checkpoint at the current position,
-     *  restorable into a Core via beginRun(prog, ckpt). */
+     *  restorable into a Core built from 'prog' and the checkpoint. */
     void checkpoint(CoreCheckpoint &out) const { core_.checkpoint(out); }
 
   private:

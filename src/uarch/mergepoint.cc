@@ -118,16 +118,6 @@ MergePointTable::noteOutcome(std::uint32_t pc, bool failed,
 }
 
 void
-MergePointTable::reset()
-{
-    for (Entry &e : table_)
-        e = Entry{};
-    tracking_ = false;
-    trackPc_ = 0;
-    uopsLeft_ = 0;
-}
-
-void
 MergePointTable::io(StateIO &io)
 {
     io.table(table_);

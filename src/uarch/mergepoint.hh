@@ -70,9 +70,6 @@ class MergePointTable
      */
     void noteOutcome(std::uint32_t pc, bool failed, bool mispredicted);
 
-    /** Forget everything (cold table; used by Core::beginRun). */
-    void reset();
-
     /** Walk the full table + tracking slot (checkpointing). */
     void io(StateIO &io);
 

@@ -17,8 +17,8 @@
  *    drained detailed core and a fast-forward to the same boundary
  *    hold the same confidence-estimator state;
  *  - restore then checkpoint: the one warm-state walk gives back the
- *    same bytes across the fuzzer's machine matrix and a merge-point
- *    machine with attribution;
+ *    same bytes across the fuzzer's machine matrix, a merge-point
+ *    machine with attribution, and a fast-forward with attribution;
  *  - restore guards: a checkpoint must not restore into a core with a
  *    different machine configuration or program image;
  *  - sampled-run sanity: a prefix covering the whole program degrades
@@ -35,6 +35,7 @@
 
 #include "arch/emulator.hh"
 #include "arch/state.hh"
+#include "arch/state_diff.hh"
 #include "common/bytes.hh"
 #include "common/log.hh"
 #include "common/stats.hh"
@@ -77,15 +78,11 @@ TEST(SplitRun, AdvanceLegsAreBitIdenticalAcrossParamsMatrix)
         Program prog = generateProgram(seed).lower();
         for (const ParamsPoint &pt : matrix) {
             StatSet sa;
-            Core ca(pt.params, sa);
-            ca.beginRun(prog);
-            ca.advance(UINT64_MAX);
-            SimResult ra = ca.finishRun();
+            SimResult ra = simulate(prog, pt.params, sa);
             ASSERT_TRUE(ra.halted) << pt.label << " seed " << seed;
 
             StatSet sb;
-            Core cb(pt.params, sb);
-            cb.beginRun(prog);
+            Core cb(pt.params, sb, prog);
             cb.advance(ra.retiredUops / 3, /*drain=*/false);
             cb.advance(2 * ra.retiredUops / 3, /*drain=*/false);
             cb.advance(UINT64_MAX);
@@ -120,10 +117,7 @@ TEST(SplitRun, CoreCheckpointRoundTripIsBitIdentical)
             std::uint64_t total;
             {
                 StatSet s0;
-                Core c0(pt.params, s0);
-                c0.beginRun(prog);
-                c0.advance(UINT64_MAX);
-                SimResult r0 = c0.finishRun();
+                SimResult r0 = simulate(prog, pt.params, s0);
                 ASSERT_TRUE(r0.halted) << pt.label << " seed " << seed;
                 total = r0.retiredUops;
             }
@@ -131,47 +125,35 @@ TEST(SplitRun, CoreCheckpointRoundTripIsBitIdentical)
 
             // Reference: drain at the boundary, keep going in place.
             StatSet sa;
-            Core ca(pt.params, sa);
-            ca.beginRun(prog);
+            Core ca(pt.params, sa, prog);
             ca.advance(boundary, /*drain=*/true);
             ASSERT_FALSE(ca.halted()) << pt.label << " seed " << seed;
-            ca.advance(UINT64_MAX);
-            SimResult ra = ca.finishRun();
+            SimResult ra = ca.run();
             ASSERT_TRUE(ra.halted) << pt.label << " seed " << seed;
 
             // Round trip: same drain, checkpoint, restore elsewhere.
             StatSet sb1;
-            Core cb1(pt.params, sb1);
-            cb1.beginRun(prog);
+            Core cb1(pt.params, sb1, prog);
             cb1.advance(boundary, /*drain=*/true);
             CoreCheckpoint ckpt;
             cb1.checkpoint(ckpt);
             cb1.finishRun();
 
             StatSet sb2;
-            Core cb2(pt.params, sb2);
-            cb2.beginRun(prog, ckpt);
-            // beginRun re-warms the text image into the fresh StatSet;
-            // the uninterrupted run paid that warming once, so leg 2's
-            // share is the delta past the restore point.
-            const std::map<std::string, std::uint64_t> warm =
-                sb2.record().stats;
-            cb2.advance(UINT64_MAX);
-            SimResult rb = cb2.finishRun();
+            Core cb2(pt.params, sb2, prog, ckpt);
+            SimResult rb = cb2.run();
 
             const std::string what =
                 pt.label + " seed " + std::to_string(seed);
             expectSimResultsEqual(ra, rb, what);
 
             // Counters are leg-local deltas and additive across the
-            // boundary: leg 1 plus leg 2 (minus leg 2's duplicated
-            // text-image warming) must reproduce the uninterrupted
-            // totals exactly.
+            // boundary: the restored core loads no data and warms no
+            // text image, so leg 1 plus leg 2 must reproduce the
+            // uninterrupted totals exactly.
             std::map<std::string, std::uint64_t> sum = sb1.record().stats;
             for (const auto &kv : sb2.record().stats)
                 sum[kv.first] += kv.second;
-            for (const auto &kv : warm)
-                sum[kv.first] -= kv.second;
             EXPECT_EQ(sum, sa.record().stats) << what;
         }
     }
@@ -198,14 +180,12 @@ TEST(Checkpoint, FastForwardInjectionKeepsArchitecturalResultsExact)
 
     CoreCheckpoint ckpt;
     ff.checkpoint(ckpt);
-    EXPECT_FALSE(ckpt.hasAttribShadow);
-    EXPECT_EQ(ckpt.retiredUops, ff.uops());
 
     StatSet ws;
-    Core core(sp, ws);
-    core.beginRun(prog, ckpt);
-    core.advance(UINT64_MAX);
-    SimResult r = core.finishRun();
+    Core core(sp, ws, prog, ckpt);
+    const std::uint64_t restored = core.retired();
+    EXPECT_EQ(restored, ff.uops());
+    SimResult r = core.run();
 
     ASSERT_TRUE(r.halted);
     EXPECT_EQ(r.resultReg, er.resultReg);
@@ -216,7 +196,7 @@ TEST(Checkpoint, FastForwardInjectionKeepsArchitecturalResultsExact)
     // functional qp-true length, even though the raw retire count
     // diverges (the core pads with nullified µops when it predicates).
     const std::uint64_t prefixQt = ff.uops() - ff.predFalse();
-    const std::uint64_t contQt = (r.retiredUops - ckpt.retiredUops) -
+    const std::uint64_t contQt = (r.retiredUops - restored) -
                                  ws.get("core.retired_pred_false");
     EXPECT_EQ(prefixQt + contQt, er.dynInsts - er.predFalse);
 }
@@ -265,21 +245,19 @@ TEST(Checkpoint, FetchGateFastForwardTrainsTheEstimatorLikeTheCore)
     ASSERT_TRUE(er.halted);
 
     StatSet cs;
-    Core core(sp, cs);
-    core.beginRun(prog);
+    Core core(sp, cs, prog);
     core.advance(er.dynInsts / 2, /*drain=*/true);
     ASSERT_FALSE(core.halted());
     CoreCheckpoint detailed;
     core.checkpoint(detailed);
-    core.finishRun();
 
     FastForward ff(prog, sp);
-    ff.advanceTo(detailed.retiredUops);
+    ff.advanceTo(core.retired());
     CoreCheckpoint warmed;
     ff.checkpoint(warmed);
 
-    ASSERT_EQ(warmed.retiredUops, detailed.retiredUops);
-    ASSERT_EQ(warmed.fetchPc, detailed.fetchPc);
+    ASSERT_EQ(ff.uops(), core.retired());
+    ASSERT_FALSE(firstStateDiff(ff.archState(), core.archState()));
     const std::string want = confSection(detailed, sp);
     const std::string got = confSection(warmed, sp);
     ASSERT_EQ(got.size(), want.size());
@@ -297,6 +275,17 @@ TEST(Checkpoint, RestoreThenCheckpointIsByteIdentical)
     Program prog =
         programFor(w, BinaryVariant::WishJumpJoinLoop, InputSet::A);
 
+    const auto expectRoundTrip = [&](const std::string &label,
+                                     const SimParams &p,
+                                     const CoreCheckpoint &first) {
+        StatSet s2;
+        Core c2(p, s2, prog, first);
+        CoreCheckpoint second;
+        c2.checkpoint(second);
+        EXPECT_EQ(second.bytes.size(), first.bytes.size()) << label;
+        EXPECT_TRUE(second.bytes == first.bytes) << label;
+    };
+
     std::vector<ParamsPoint> machines = defaultParamsMatrix(true);
     SimParams mp;
     mp.checkFinalState = false;
@@ -306,25 +295,26 @@ TEST(Checkpoint, RestoreThenCheckpointIsByteIdentical)
 
     for (const ParamsPoint &pt : machines) {
         StatSet s1;
-        Core c1(pt.params, s1);
-        c1.beginRun(prog);
+        Core c1(pt.params, s1, prog);
         c1.advance(20'000, /*drain=*/true);
         ASSERT_FALSE(c1.halted()) << pt.label;
         CoreCheckpoint first;
         c1.checkpoint(first);
-        c1.finishRun();
-
-        StatSet s2;
-        Core c2(pt.params, s2);
-        c2.beginRun(prog, first);
-        CoreCheckpoint second;
-        c2.checkpoint(second);
-
-        EXPECT_EQ(second.hasAttribShadow, first.hasAttribShadow)
-            << pt.label;
-        EXPECT_EQ(second.bytes.size(), first.bytes.size()) << pt.label;
-        EXPECT_TRUE(second.bytes == first.bytes) << pt.label;
+        expectRoundTrip(pt.label, pt.params, first);
     }
+
+    // A fast-forward on a machine that attaches the attribution engine
+    // checkpoints the engine's initial flush shadow, which a restored
+    // core with the same params reads back.
+    SimParams ap;
+    ap.checkFinalState = false;
+    ap.collectAttribution = true;
+    FastForward ff(prog, ap);
+    ff.advanceTo(20'000);
+    ASSERT_FALSE(ff.halted());
+    CoreCheckpoint warmed;
+    ff.checkpoint(warmed);
+    expectRoundTrip("fast-forward+attribution", ap, warmed);
 }
 
 TEST(Checkpoint, RestoreGuardsRejectMismatchedMachineAndProgram)
@@ -350,15 +340,13 @@ TEST(Checkpoint, RestoreGuardsRejectMismatchedMachineAndProgram)
     EXPECT_DEATH(
         {
             StatSet s1;
-            Core c1(wrong, s1);
-            c1.beginRun(prog, ckpt);
+            Core c1(wrong, s1, prog, ckpt);
         },
         "different machine configuration");
     EXPECT_DEATH(
         {
             StatSet s2;
-            Core c2(sp, s2);
-            c2.beginRun(other, ckpt);
+            Core c2(sp, s2, other, ckpt);
         },
         "different program");
 }

@@ -84,12 +84,13 @@ TEST(CoreTest, UnrunnableMachineFailsAtConstruction)
              p.iqSize = 1;
          }},
     };
+    const Program prog = assemble("halt");
     for (const Case &c : cases) {
         SimParams p;
         c.set(p);
         StatSet stats;
         try {
-            Core core(p, stats);
+            Core core(p, stats, prog);
             ADD_FAILURE() << c.field << ": the machine was constructed";
         } catch (const FatalError &e) {
             const std::string msg = e.what();

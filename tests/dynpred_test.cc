@@ -380,7 +380,6 @@ TEST(ConfidenceHistoryOracle, FetchEstimateMatchesRetireOrderedReplay)
     std::vector<FuncBr> funcBrs;
     {
         ArchState st;
-        st.reset();
         st.loadData(prog);
         std::uint32_t pc = prog.entry();
         const auto codeSize = static_cast<std::uint32_t>(prog.size());

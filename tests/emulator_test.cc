@@ -455,6 +455,33 @@ TEST(EmulatorTest, MaxStepsTerminates)
     EXPECT_EQ(r.dynInsts, 1000u);
 }
 
+TEST(EmulatorTest, ReusedEmulatorStartsOnFreshMemory)
+{
+    // A second run() must not see what the first program stored: every
+    // run starts from reset, as a fresh emulator would.
+    Program a = assemble(R"(
+        li r2, 0x90000
+        li r3, 42
+        st r3, r2, 0
+        halt
+    )");
+    Program b = assemble(R"(
+        li r2, 0x90000
+        ld r4, r2, 0
+        halt
+    )");
+    Emulator fresh;
+    const EmuResult want = fresh.run(b);
+    ASSERT_TRUE(want.halted);
+    EXPECT_EQ(want.resultReg, 0);
+
+    Emulator reused;
+    reused.run(a);
+    const EmuResult got = reused.run(b);
+    EXPECT_EQ(got.resultReg, want.resultReg);
+    EXPECT_EQ(got.memFingerprint, want.memFingerprint);
+}
+
 TEST(EmulatorTest, PredFalseCounted)
 {
     Program p = assemble(R"(

@@ -236,7 +236,7 @@ void
 seedState(ArchState &s, const Instruction &inst, std::uint64_t seed, bool qp)
 {
     Rng rng(seed);
-    s.reset();
+    s = ArchState();
     for (unsigned r = 1; r < kNumIntRegs; ++r)
         s.writeReg(static_cast<RegIdx>(r), static_cast<Word>(rng.next()));
     for (unsigned p = 1; p < kNumPredRegs; ++p)

@@ -43,10 +43,11 @@ struct GoldenRunSpec
  *  the select-µop machine and a small-window machine for config
  *  coverage, plus two sampled runs that pin the fast-forward warming:
  *  the default machine with attribution on (a fast-forward checkpoint
- *  carries no attribution shadow) and a TAGE machine with TAGE
- *  confidence, plus Figure 2's NODEP+NOFETCH machine and two machines
- *  whose branch profile books confidence decisions differently: one
- *  with merge-point regions, one with a perfect predictor. */
+ *  carries the engine's initial flush shadow) and a TAGE machine with
+ *  TAGE confidence, plus Figure 2's NODEP+NOFETCH machine and two
+ *  machines whose branch profile books confidence decisions
+ *  differently: one with merge-point regions, one with a perfect
+ *  predictor. */
 inline std::vector<GoldenRunSpec>
 goldenRuns()
 {

@@ -27,9 +27,7 @@ TEST(PipeTraceTest, LifecycleOrderingOnStraightLine)
     SimParams params;
     StatSet stats;
     PipeTracer tracer(64);
-    Core core(params, stats);
-    core.addSink(&tracer);
-    SimResult r = core.run(p);
+    SimResult r = simulate(p, params, stats, {&tracer});
     ASSERT_TRUE(r.halted);
 
     ASSERT_EQ(tracer.records().size(), 4u);
@@ -69,9 +67,7 @@ TEST(PipeTraceTest, WrongPathMarkedSquashed)
     SimParams params;
     StatSet stats;
     PipeTracer tracer(2048);
-    Core core(params, stats);
-    core.addSink(&tracer);
-    SimResult r = core.run(p);
+    SimResult r = simulate(p, params, stats, {&tracer});
     ASSERT_TRUE(r.halted);
 
     unsigned squashed = 0, retired = 0;
@@ -98,9 +94,7 @@ TEST(PipeTraceTest, PredicatedNopsFlagged)
     SimParams params;
     StatSet stats;
     PipeTracer tracer(8);
-    Core core(params, stats);
-    core.addSink(&tracer);
-    core.run(p);
+    simulate(p, params, stats, {&tracer});
 
     ASSERT_GE(tracer.records().size(), 2u);
     EXPECT_TRUE(tracer.records()[1].predFalse);
@@ -120,9 +114,7 @@ TEST(PipeTraceTest, CapacityKeepsFirstN)
     SimParams params;
     StatSet stats;
     PipeTracer tracer(10);
-    Core core(params, stats);
-    core.addSink(&tracer);
-    core.run(p);
+    simulate(p, params, stats, {&tracer});
 
     ASSERT_EQ(tracer.records().size(), 10u);
     EXPECT_EQ(tracer.records()[0].pc, 0u) << "run start captured";
@@ -141,9 +133,7 @@ TEST(PipeTraceTest, CycleZeroEventsAreRecordedAndRendered)
     SimParams params;
     StatSet stats;
     PipeTracer tracer(8);
-    Core core(params, stats);
-    core.addSink(&tracer);
-    core.run(p);
+    simulate(p, params, stats, {&tracer});
 
     ASSERT_GE(tracer.records().size(), 1u);
     EXPECT_EQ(tracer.records()[0].fetch, 0u)
@@ -168,9 +158,7 @@ TEST(PipeTraceTest, RenderContainsStageLetters)
     SimParams params;
     StatSet stats;
     PipeTracer tracer(8);
-    Core core(params, stats);
-    core.addSink(&tracer);
-    core.run(p);
+    simulate(p, params, stats, {&tracer});
 
     std::ostringstream os;
     tracer.render(os, 0, 8);

@@ -49,7 +49,7 @@ loopProgram()
 ThreadedResult
 referenceRun(const Program &p, ArchState &s, std::uint64_t budget)
 {
-    s.reset();
+    s = ArchState();
     s.loadData(p);
     ThreadedResult r;
     r.nextPc = p.entry();
@@ -84,7 +84,6 @@ expectThreadedMatchesReference(const Program &p, std::uint64_t budget)
 {
     ArchState ref, th;
     const ThreadedResult a = referenceRun(p, ref, budget);
-    th.reset();
     th.loadData(p);
     const ThreadedResult b =
         threadedRun(p, th, p.entry(), budget, NullExecHooks{});
@@ -101,7 +100,6 @@ TEST(ThreadedBudget, ZeroBudgetExecutesNothing)
 {
     Program p = loopProgram();
     ArchState s;
-    s.reset();
     s.loadData(p);
     ThreadedResult r = threadedRun(p, s, p.entry(), 0, NullExecHooks{});
     EXPECT_EQ(r.steps, 0u);
@@ -122,7 +120,6 @@ TEST(ThreadedBudget, StopsExactlyAtBudgetNeverOvershoots)
     // would break the sampled runner's whole-run coordinate.
     for (std::uint64_t budget : {std::uint64_t{1}, h / 2, h - 1}) {
         ArchState s;
-        s.reset();
         s.loadData(p);
         ThreadedResult r =
             threadedRun(p, s, p.entry(), budget, NullExecHooks{});
@@ -134,7 +131,6 @@ TEST(ThreadedBudget, StopsExactlyAtBudgetNeverOvershoots)
     // surplus budget is not consumed past it.
     for (std::uint64_t budget : {h, h + 1, h + 1000}) {
         ArchState s;
-        s.reset();
         s.loadData(p);
         ThreadedResult r =
             threadedRun(p, s, p.entry(), budget, NullExecHooks{});
@@ -148,7 +144,6 @@ TEST(ThreadedBudget, ResumedLegsMatchUninterruptedRun)
     Program p = loopProgram();
 
     ArchState whole;
-    whole.reset();
     whole.loadData(p);
     ThreadedResult w = threadedRun(p, whole, p.entry(),
                                    Emulator::kDefaultMaxSteps,
@@ -158,7 +153,6 @@ TEST(ThreadedBudget, ResumedLegsMatchUninterruptedRun)
     // Re-run in 3-instruction legs, feeding nextPc back in. Totals and
     // every architectural state word must match the one-shot run.
     ArchState legs;
-    legs.reset();
     legs.loadData(p);
     std::uint64_t steps = 0, predFalse = 0;
     std::uint32_t pc = p.entry();
